@@ -1,12 +1,10 @@
 """Exact maximum clique, sequential or distributed over a file-backed queue."""
 
-from .core import Colouring, SearchContext, colour_sort, expand, mc
+from .core import SearchContext, colour_sort, expand, mc
 from .distkernel import (
     BranchAddress,
     JobSpec,
     all_jobs,
-    consider_branch,
-    dist_expand,
     job_membership,
     mc_dist,
 )

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import jobqueue, report as report_mod, worker as worker_mod
 from .core import mc
+from .distkernel import DEFAULT_SPLIT_FACTOR
 from .graph import (
     GraphError,
     brute_force_omega,
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init", help="create a job queue for a graph")
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--queue", type=Path, required=True)
-    p.add_argument("--split-factor", type=int, default=8)
+    p.add_argument("--split-factor", type=int, default=DEFAULT_SPLIT_FACTOR)
     p.set_defaults(func=cmd_init)
 
     p = sub.add_parser("work", help="run a worker until the queue drains")

@@ -8,22 +8,9 @@ order; a branch is cut when colour(v) + |C| cannot beat the incumbent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .graph import Graph, degree_sort
-
-
-@dataclass
-class Colouring:
-    """Result of the greedy colour-sort of a candidate set.
-
-    `stack` lists vertices grouped by colour class 1..colours_used in
-    insertion order, so popping from the end yields non-increasing colours.
-    `colour` maps each stacked vertex to its colour.
-    """
-
-    stack: list[int]
-    colour: dict[int, int]
-    colours_used: int
 
 
 @dataclass
@@ -35,59 +22,67 @@ class SearchContext:
     nodes: int = 0
 
 
-def colour_sort(p: list[int], g: Graph) -> Colouring:
-    """Greedy sequential colouring of P in its given order.
+def colour_sort(p: list[int], g: Graph) -> tuple[list[int], list[int]]:
+    """Greedy sequential colouring of P in its given order: (stack, colours).
 
     Each vertex takes the smallest colour class containing none of its
     neighbours; classes keep insertion order and are concatenated to build
-    the stack.
+    the stack, so popping from the end yields non-increasing colours.
+    colours[i] is the colour of stack[i], from 1 up to the number used.
     """
     adj = g.adj
     class_masks: list[int] = []
     class_members: list[list[int]] = []
-    colour: dict[int, int] = {}
     for v in p:
         av = adj[v]
         for k in range(len(class_masks)):
             if not av & class_masks[k]:
                 class_masks[k] |= 1 << v
                 class_members[k].append(v)
-                colour[v] = k + 1
                 break
         else:
             class_masks.append(1 << v)
             class_members.append([v])
-            colour[v] = len(class_masks)
     stack: list[int] = []
-    for members in class_members:
+    colours: list[int] = []
+    for k, members in enumerate(class_members, 1):
         stack.extend(members)
-    return Colouring(stack=stack, colour=colour, colours_used=len(class_masks))
+        colours.extend([k] * len(members))
+    return stack, colours
 
 
-def adjacent_to_set(v: int, s, g: Graph) -> bool:
-    """True iff v is adjacent to some vertex of s."""
-    av = g.adj[v]
-    return any(av >> w & 1 for w in s)
-
-
-def expand(c: list[int], p: list[int], ctx: SearchContext, g: Graph) -> None:
+def expand(
+    c: list[int],
+    p: list[int],
+    ctx: SearchContext,
+    g: Graph,
+    keep: Callable[[int, SearchContext], bool] | None = None,
+) -> None:
     """Explore cliques extending C with subsets of P; updates ctx in place.
 
     P must be ordered (degree order at the root, inherited below) and every
-    vertex of P adjacent to all of C.
+    vertex of P adjacent to all of C. `keep(label, ctx)`, when given, says
+    whether to descend into the branch with that pop label (len(P) - 1 down
+    to 0) at this node only; it may raise ctx.best_size.
     """
     ctx.nodes += 1
-    colouring = colour_sort(p, g)
-    stack = colouring.stack
-    colour = colouring.colour
+    stack, colours = colour_sort(p, g)
     adj = g.adj
     c_size = len(c)
     best = ctx.best_size
     popped = 0
     for i in range(len(stack) - 1, -1, -1):
         v = stack[i]
-        if colour[v] + c_size <= best:
+        if colours[i] + c_size <= best:
             return
+        if keep is not None:
+            kept = keep(i, ctx)
+            best = ctx.best_size
+            if colours[i] + c_size <= best:
+                return
+            if not kept:
+                popped |= 1 << v
+                continue
         c.append(v)
         av = adj[v]
         p2 = [w for w in p if av >> w & 1 and not popped >> w & 1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import SearchContext, colour_sort
+from .core import SearchContext, colour_sort, expand
 from .graph import Graph, degree_sort
 
 DEFAULT_SPLIT_FACTOR = 8
@@ -29,7 +29,6 @@ class JobSpec:
     n: int
     f: int = DEFAULT_SPLIT_FACTOR
     c: int = 0
-    arity: int = 2
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.f < 1:
@@ -38,8 +37,6 @@ class JobSpec:
             raise ValueError(f"job id {self.t} outside [0, {self.f * self.n})")
         if self.c < 0:
             raise ValueError(f"initial bound must be >= 0, got {self.c}")
-        if self.arity != 2:
-            raise ValueError("only depth-2 splitting is supported")
 
     @property
     def first_level(self) -> int:
@@ -66,65 +63,6 @@ def job_membership(spec: JobSpec, addr: BranchAddress) -> bool:
     )
 
 
-def consider_branch(c_size: int, covered: bool, arity: int = 2) -> bool:
-    """Branch filter: pass everything off the critical depth, filter at it."""
-    return c_size < arity or c_size > arity or covered
-
-
-def dist_expand(
-    c: list[int],
-    p: list[int],
-    spec: JobSpec,
-    ctx: SearchContext,
-    g: Graph,
-    refresher: BoundRefresher | None = None,
-) -> None:
-    """As core.expand, restricted to the depth-2 addresses covered by spec.
-
-    ctx.best_size must be initialized to spec.c by the caller. `refresher`,
-    when given, is invoked between depth-1 branch expansions and may raise
-    ctx.best_size (periodic re-read of a shared incumbent).
-    """
-    ctx.nodes += 1
-    colouring = colour_sort(p, g)
-    stack = colouring.stack
-    colour = colouring.colour
-    adj = g.adj
-    depth = len(c)
-    popped = 0
-    for i in range(len(stack) - 1, -1, -1):
-        v = stack[i]
-        if colour[v] + depth <= ctx.best_size:
-            return
-        if depth == 0:
-            # label of this depth-1 branch is i (pop order, size-1 down to 0)
-            if i != spec.first_level:
-                popped |= 1 << v
-                continue
-        elif depth == 1:
-            if refresher is not None:
-                refresher(ctx)
-                if colour[v] + depth <= ctx.best_size:
-                    return
-            if i % spec.f != spec.second_level_residue:
-                popped |= 1 << v
-                continue
-        c.append(v)
-        av = adj[v]
-        p2 = [w for w in p if av >> w & 1 and not popped >> w & 1]
-        if not p2:
-            if depth + 1 > ctx.best_size:
-                ctx.best_clique = c.copy()
-                ctx.best_size = depth + 1
-        else:
-            dist_expand(c, p2, spec, ctx, g, refresher)
-        c.pop()
-        popped |= 1 << v
-        if depth == 0:
-            # the single covered depth-1 branch is done; nothing else to do
-            return
-
-
 def mc_dist(
     g: Graph,
     spec: JobSpec,
@@ -135,14 +73,36 @@ def mc_dist(
 
     The initial ordering is identical to the sequential search so branch
     labels agree across all jobs. `order` may carry a precomputed degree sort
-    (workers compute it once per graph).
+    (workers compute it once per graph). The root is coloured as in
+    core.expand; if the colour of the job's depth-1 branch beats spec.c, the
+    search descends into that branch alone and core.expand filters its
+    depth-2 branches through job_membership. `refresher`, when given, runs
+    before each depth-2 branch of that depth-1 node and may raise
+    ctx.best_size (periodic re-read of a shared incumbent).
     """
     if spec.n != g.n:
         raise ValueError(f"job is for n={spec.n} but graph has n={g.n}")
-    ctx = SearchContext(best_size=spec.c)
+    ctx = SearchContext(best_size=spec.c, nodes=1)  # the root
     if order is None:
         order = degree_sort(g)
-    dist_expand([], list(order), spec, ctx, g, refresher)
+    stack, colours = colour_sort(order, g)
+    first = spec.first_level
+    if colours[first] <= spec.c:
+        return [], ctx
+
+    def keep(label: int, ctx: SearchContext) -> bool:
+        if refresher is not None:
+            refresher(ctx)
+        return job_membership(spec, BranchAddress(first, label))
+
+    v = stack[first]
+    av = g.adj[v]
+    popped = set(stack[first + 1:])  # the depth-1 branches before this one
+    p1 = [w for w in order if av >> w & 1 and w not in popped]
+    if p1:
+        expand([v], p1, ctx, g, keep)
+    elif spec.c == 0:
+        ctx.best_clique, ctx.best_size = [v], 1
     return sorted(ctx.best_clique), ctx
 
 

@@ -5,6 +5,7 @@ Layout under the queue root:
     meta                 key=value: graph name, n, split factor f
     best                 current incumbent size, ASCII decimal + newline
     best.lock            advisory lock file guarding best
+    best.tmp             the next best, written whole, then renamed onto best
     best.log             one line per accepted best write (audit trail)
     pending/00..99/<t>   unclaimed jobs, sharded by the last two digits of t
     pending/<shard>.lock one advisory lock per shard
@@ -12,7 +13,9 @@ Layout under the queue root:
     results/<t>          finished jobs, serialized JobResultRecord
 
 Coordination relies only on advisory flock and same-filesystem atomic
-rename, so any number of worker processes may share the root.
+rename, so any number of worker processes may share the root. Names in
+pending/, running/ and results/ that are not decimal job ids (NFS .nfs*
+files, editor droppings) are not jobs and are ignored.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ def locked(path: Path, exclusive: bool) -> Iterator[None]:
     finally:
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
+
+
+def _job_ids(directory: Path) -> list[int]:
+    """The job ids named in a queue directory, skipping any other name."""
+    return [int(name) for name in os.listdir(directory) if name.isdecimal()]
 
 
 def shard_of(t: int) -> str:
@@ -226,10 +234,10 @@ def claim_job(layout: QueueLayout, shard_order: Sequence[str]) -> int | None:
         if not os.listdir(shard_dir):
             continue
         with locked(layout.shard_lock(shard), exclusive=True):
-            names = os.listdir(shard_dir)
-            if not names:
+            ids = _job_ids(shard_dir)
+            if not ids:
                 continue
-            t = min(int(name) for name in names)
+            t = min(ids)
             dest = layout.running_dir / str(t)
             os.rename(shard_dir / str(t), dest)
             os.utime(dest)  # rename keeps the old mtime; staleness counts from claim
@@ -240,9 +248,14 @@ def claim_job(layout: QueueLayout, shard_order: Sequence[str]) -> int | None:
 def read_best(layout: QueueLayout) -> int:
     """Current incumbent size, read under a shared lock."""
     with locked(layout.best_lock, exclusive=False):
-        raw = layout.best_path.read_text(encoding="ascii")
+        return _best_in(layout.best_path)
+
+
+def _best_in(path: Path) -> int:
+    """The value in a best file; QueueError unless it is a decimal >= 0."""
+    raw = path.read_bytes()
     try:
-        value = int(raw.strip())
+        value = int(raw)
     except ValueError:
         raise QueueError(f"corrupt best file: {raw!r}")
     if value < 0:
@@ -256,7 +269,9 @@ def update_best(layout: QueueLayout, candidate: int) -> tuple[bool, int]:
     Two-phase: a shared-lock read rejects non-improving candidates cheaply;
     only a strict improvement takes the exclusive lock, re-compares (the
     value may have moved in between) and writes. The shared lock is fully
-    released before the exclusive one is requested, so no deadlock.
+    released before the exclusive one is requested, so no deadlock. The new
+    value is written to best.tmp and renamed onto best, so a kill never
+    leaves best half-written.
     """
     if candidate < 0:
         raise QueueError(f"candidate must be >= 0, got {candidate}")
@@ -264,11 +279,12 @@ def update_best(layout: QueueLayout, candidate: int) -> tuple[bool, int]:
     if candidate <= current:
         return False, current
     with locked(layout.best_lock, exclusive=True):
-        raw = layout.best_path.read_text(encoding="ascii")
-        current = int(raw.strip())
+        current = _best_in(layout.best_path)
         if candidate <= current:
             return False, current
-        layout.best_path.write_text(f"{candidate}\n", encoding="ascii")
+        tmp = layout.root / "best.tmp"
+        tmp.write_text(f"{candidate}\n", encoding="ascii")
+        os.replace(tmp, layout.best_path)
         with open(layout.best_log, "a", encoding="ascii") as fh:
             fh.write(f"{int(time.time() * 1000)} {candidate}\n")
         return True, candidate
@@ -302,15 +318,14 @@ def requeue_stale(layout: QueueLayout, grace_seconds: int) -> list[int]:
         raise QueueError(f"grace must be positive, got {grace_seconds}")
     now = time.time()
     moved = []
-    for name in os.listdir(layout.running_dir):
-        path = layout.running_dir / name
+    for t in _job_ids(layout.running_dir):
+        path = layout.running_dir / str(t)
         try:
             age = now - path.stat().st_mtime
         except FileNotFoundError:
             continue  # finished while we were scanning
         if age > grace_seconds:
-            t = int(name)
-            os.rename(path, layout.shard_dir(shard_of(t)) / name)
+            os.rename(path, layout.shard_dir(shard_of(t)) / str(t))
             moved.append(t)
     return sorted(moved)
 
@@ -336,15 +351,15 @@ def collect_results(layout: QueueLayout, expected_count: int | None = None) -> C
         expected_count = read_meta(layout).job_count
     records = []
     errors = []
-    for name in sorted(os.listdir(layout.results_dir), key=int):
-        path = layout.results_dir / name
+    for t in sorted(_job_ids(layout.results_dir)):
+        path = layout.results_dir / str(t)
         try:
             record = JobResultRecord.from_text(path.read_text(encoding="ascii"))
         except (QueueError, OSError, UnicodeDecodeError) as exc:
-            errors.append(f"{name}: {exc}")
+            errors.append(f"{t}: {exc}")
             continue
-        if record.t != int(name):
-            errors.append(f"{name}: record claims job id {record.t}")
+        if record.t != t:
+            errors.append(f"{t}: record claims job id {record.t}")
             continue
         records.append(record)
     present = {r.t for r in records}

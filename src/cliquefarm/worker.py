@@ -17,8 +17,6 @@ from .distkernel import JobSpec, mc_dist
 from .graph import Graph, degree_sort, load_dimacs
 from .jobqueue import JobResultRecord, QueueError, QueueLayout
 
-REREAD_NEVER = "never"
-
 
 @dataclass
 class WorkerConfig:
@@ -130,7 +128,7 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
 
 def _periodic_refresher(layout: QueueLayout, interval_seconds: float):
     """Callback raising ctx.best_size from the shared best file at most once
-    per interval; invoked by the kernel between depth-1 branches."""
+    per interval; mc_dist says when the kernel invokes it."""
     last = time.monotonic()
 
     def refresh(ctx) -> None:

@@ -2,57 +2,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquefarm.core import SearchContext, adjacent_to_set, colour_sort, expand, mc
+from cliquefarm.core import SearchContext, colour_sort, expand, mc
 from cliquefarm.graph import brute_force_omega, degree_sort, generate_gnp, is_clique
 
 from conftest import complete_graph, cycle_graph, path_graph
 
 
+def colour_of(stack, colours):
+    return dict(zip(stack, colours))
+
+
 class TestColourSort:
     def test_empty(self, k5):
-        col = colour_sort([], k5)
-        assert col.stack == []
-        assert col.colours_used == 0
+        assert colour_sort([], k5) == ([], [])
 
     def test_complete_graph_distinct_colours(self):
         k4 = complete_graph(4)
-        col = colour_sort([0, 1, 2, 3], k4)
-        assert [col.colour[v] for v in (0, 1, 2, 3)] == [1, 2, 3, 4]
-        assert list(reversed(col.stack)) == [3, 2, 1, 0]
+        stack, colours = colour_sort([0, 1, 2, 3], k4)
+        assert [colour_of(stack, colours)[v] for v in (0, 1, 2, 3)] == [1, 2, 3, 4]
+        assert list(reversed(stack)) == [3, 2, 1, 0]
 
     def test_path_hand_case(self):
         # vertices 1..4 are internal 0..3; P = (2,3,1,4) is internal (1,2,0,3)
         g = path_graph(4)
-        col = colour_sort([1, 2, 0, 3], g)
-        assert col.colours_used == 2
-        assert {v for v, k in col.colour.items() if k == 1} == {1, 3}
-        assert {v for v, k in col.colour.items() if k == 2} == {2, 0}
-        assert list(reversed(col.stack)) == [0, 2, 3, 1]
+        stack, colours = colour_sort([1, 2, 0, 3], g)
+        assert colours[-1] == 2
+        colour = colour_of(stack, colours)
+        assert {v for v, k in colour.items() if k == 1} == {1, 3}
+        assert {v for v, k in colour.items() if k == 2} == {2, 0}
+        assert list(reversed(stack)) == [0, 2, 3, 1]
 
     def test_pop_order_non_increasing_colour(self):
         g = generate_gnp(40, 0.5, 2)
-        col = colour_sort(degree_sort(g), g)
-        colours = [col.colour[v] for v in reversed(col.stack)]
-        assert colours == sorted(colours, reverse=True)
+        _, colours = colour_sort(degree_sort(g), g)
+        popped = list(reversed(colours))
+        assert popped == sorted(popped, reverse=True)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 25), p=st.floats(0, 1), seed=st.integers(0, 10**6))
     def test_validity(self, n, p, seed):
         g = generate_gnp(n, p, seed)
-        col = colour_sort(degree_sort(g), g)
-        assert sorted(col.stack) == list(range(n))  # permutation
-        for u in col.stack:
-            assert 1 <= col.colour[u] <= col.colours_used
-            for v in col.stack:
+        stack, colours = colour_sort(degree_sort(g), g)
+        assert sorted(stack) == list(range(n))  # permutation
+        assert len(colours) == n
+        assert sorted(set(colours)) == list(range(1, colours[-1] + 1))
+        colour = colour_of(stack, colours)
+        for u in stack:
+            for v in stack:
                 if g.adj[u] >> v & 1:
-                    assert col.colour[u] != col.colour[v]
+                    assert colour[u] != colour[v]
 
     def test_bound_soundness(self):
-        # coloursUsed is an upper bound on the clique number of the candidates
+        # the number of colours is an upper bound on the clique number of P
         for seed in range(10):
             g = generate_gnp(18, 0.6, seed)
-            col = colour_sort(degree_sort(g), g)
-            assert col.colours_used >= brute_force_omega(g)[0]
+            _, colours = colour_sort(degree_sort(g), g)
+            assert colours[-1] >= brute_force_omega(g)[0]
 
     def test_bound_soundness_on_induced_subsets(self):
         import random
@@ -63,7 +68,7 @@ class TestColourSort:
         for seed in range(10):
             g = generate_gnp(20, 0.6, seed)
             subset = sorted(rng.sample(range(g.n), 12))
-            col = colour_sort([v for v in degree_sort(g) if v in subset], g)
+            _, colours = colour_sort([v for v in degree_sort(g) if v in subset], g)
             induced = Graph(
                 len(subset),
                 [
@@ -73,19 +78,7 @@ class TestColourSort:
                     if g.adjacent(subset[i], subset[j])
                 ],
             )
-            assert col.colours_used >= brute_force_omega(induced)[0]
-
-
-class TestAdjacentToSet:
-    def test_empty_set(self, k5):
-        assert not adjacent_to_set(0, [], k5)
-
-    def test_triangle(self):
-        g = complete_graph(3)
-        assert adjacent_to_set(0, [1], g)
-
-    def test_path_non_adjacent(self):
-        assert not adjacent_to_set(0, [2], path_graph(3))
+            assert colours[-1] >= brute_force_omega(induced)[0]
 
 
 class TestExpand:
@@ -112,6 +105,42 @@ class TestExpand:
         expand([], degree_sort(k5), ctx, k5)
         assert ctx.best_clique == [9, 9, 9, 9, 9]
 
+    def test_keep_filters_this_node_only(self, k5):
+        # the root keeps only its first branch; the children search unfiltered
+        # and find the whole clique, which then cuts the root's next branch
+        labels = []
+
+        def keep(label, ctx):
+            labels.append(label)
+            return label == 4
+
+        ctx = SearchContext()
+        expand([], degree_sort(k5), ctx, k5, keep)
+        assert labels == [4]
+        assert ctx.best_size == 5
+
+    def test_rejected_branches_stay_out_of_later_candidates(self, k5):
+        labels = []
+
+        def keep(label, ctx):
+            labels.append(label)
+            return label == 0
+
+        ctx = SearchContext()
+        expand([], degree_sort(k5), ctx, k5, keep)
+        assert labels == [4, 3, 2, 1, 0]
+        assert ctx.best_size == 1
+
+    def test_bound_rechecked_after_keep(self, k5):
+        def keep(label, ctx):
+            ctx.best_size = 5
+            return True
+
+        ctx = SearchContext()
+        expand([], degree_sort(k5), ctx, k5, keep)
+        assert ctx.nodes == 1
+        assert ctx.best_clique == []
+
 
 class TestMc:
     def test_single_vertex(self):
@@ -136,3 +165,12 @@ class TestMc:
         clique, _ = mc(g)
         assert len(clique) == brute_force_omega(g)[0]
         assert is_clique(g, clique)
+
+    @pytest.mark.parametrize(
+        "n, p, seed, omega, nodes",
+        [(1000, 0.1, 0, 6, 3359), (200, 0.5, 1, 11, 7527), (120, 0.9, 7, 32, 82460)],
+    )
+    def test_golden_node_counts(self, n, p, seed, omega, nodes):
+        # pinned search: any change to ordering, colouring or pruning shows here
+        clique, ctx = mc(generate_gnp(n, p, seed))
+        assert (len(clique), ctx.nodes) == (omega, nodes)

@@ -1,11 +1,11 @@
 import pytest
 
+from cliquefarm import distkernel
 from cliquefarm.core import mc
 from cliquefarm.distkernel import (
     BranchAddress,
     JobSpec,
     all_jobs,
-    consider_branch,
     job_membership,
     mc_dist,
 )
@@ -54,19 +54,6 @@ class TestJobMembership:
                     s.t for s in specs if job_membership(s, BranchAddress(first, second))
                 ]
                 assert len(owners) == 1, (first, second, owners)
-
-
-class TestConsiderBranch:
-    def test_below_arity(self):
-        assert consider_branch(0, covered=False)
-        assert consider_branch(1, covered=False)
-
-    def test_above_arity(self):
-        assert consider_branch(3, covered=False)
-
-    def test_at_arity_gated_by_coverage(self):
-        assert consider_branch(2, covered=True)
-        assert not consider_branch(2, covered=False)
 
 
 class TestMcDist:
@@ -129,9 +116,33 @@ class TestMcDist:
         clique, _ = mc_dist(k5, JobSpec(t=19, n=5), refresher=refresh)
         assert clique == []
 
+    def test_depth2_filter_is_job_membership(self, k5, monkeypatch):
+        seen = []
+
+        def membership(spec, addr):
+            seen.append(addr)
+            return False
+
+        monkeypatch.setattr(distkernel, "job_membership", membership)
+        clique, _ = mc_dist(k5, JobSpec(t=19, n=5))
+        assert clique == []
+        assert seen == [BranchAddress(4, label) for label in (3, 2, 1, 0)]
+
     def test_partition_completeness_several_graphs(self):
         for seed in range(5):
             g = generate_gnp(30, 0.5, seed)
             omega = len(mc(g)[0])
             best = max(len(mc_dist(g, spec)[0]) for spec in all_jobs(g.n))
             assert best == omega
+
+    @pytest.mark.parametrize(
+        "n, p, seed, f, c, nodes",
+        [(200, 0.5, 1, 8, 0, 40506), (200, 0.5, 1, 8, 10, 13079), (60, 0.9, 3, 8, 0, 7525)],
+    )
+    def test_golden_node_counts(self, n, p, seed, f, c, nodes):
+        # pinned sum over the whole partition: any change to a job's slice,
+        # its root handling or its pruning shows here
+        g = generate_gnp(n, p, seed)
+        order = degree_sort(g)
+        total = sum(mc_dist(g, spec, order=order)[1].nodes for spec in all_jobs(g.n, f, c))
+        assert total == nodes

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquefarm import jobqueue
 from cliquefarm.jobqueue import (
     SHARDS,
     JobResultRecord,
@@ -191,6 +192,34 @@ class TestBest:
         with pytest.raises(QueueError, match="corrupt"):
             read_best(layout)
 
+    @pytest.mark.parametrize("phase", ["shared", "exclusive"])
+    # empty: what an in-place write cut short leaves; then a non-ASCII byte
+    @pytest.mark.parametrize("raw", [b"\n", b"\xff\n"], ids=["empty", "non-ascii"])
+    def test_corrupt_best_fails_update_in_either_phase(
+        self, tmp_path, monkeypatch, phase, raw
+    ):
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout.best_path.write_bytes(raw)
+        if phase == "exclusive":
+            # the file turns corrupt after the shared-lock read saw a good value
+            monkeypatch.setattr(jobqueue, "read_best", lambda layout: 0)
+        with pytest.raises(QueueError, match="corrupt"):
+            update_best(layout, 3)
+
+    def test_failed_replace_keeps_old_best(self, tmp_path, monkeypatch):
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        update_best(layout, 4)
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            update_best(layout, 9)
+        monkeypatch.undo()
+        assert read_best(layout) == 4
+        assert read_best_log(layout) == [4]
+
 
 def _updater(root, values):
     layout = open_queue(root)
@@ -297,6 +326,31 @@ class TestRequeue:
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
         with pytest.raises(QueueError):
             requeue_stale(layout, 0)
+
+
+@pytest.mark.parametrize("where", ["pending", "running", "results"])
+def test_stray_names_are_not_jobs(tmp_path, where):
+    # e.g. an NFS silly-rename file; old enough that requeue would move a job
+    layout = init_queue(tmp_path / "q", "toy", n=1, f=1)
+    directory = {
+        "pending": layout.shard_dir("00"),
+        "running": layout.running_dir,
+        "results": layout.results_dir,
+    }[where]
+    stray = directory / ".nfs0002"
+    stray.write_text("x")
+    old = time.time() - 120
+    os.utime(stray, (old, old))
+    assert claim_job(layout, SHARDS) == 0
+    assert claim_job(layout, SHARDS) is None
+    os.utime(layout.running_dir / "0", (old, old))
+    assert requeue_stale(layout, 60) == [0]
+    assert claim_job(layout, SHARDS) == 0
+    publish_result(layout, make_record(t=0, omega=0, clique=()))
+    summary = collect_results(layout)
+    assert summary.complete
+    assert summary.errors == []
+    assert stray.exists()
 
 
 class TestCollect:
