@@ -26,6 +26,7 @@ from .jobqueue import (
     QueueError,
     QueueLayout,
     claim_job,
+    claim_order,
     collect_results,
     init_queue,
     open_queue,

@@ -8,25 +8,25 @@ Layout under the queue root:
     best.tmp             the next best, written whole, then renamed onto best
     best.log             one line per accepted best write (audit trail)
     pending/00..99/<t>   unclaimed jobs, sharded by the last two digits of t
-    pending/<shard>.lock one advisory lock per shard
     running/<t>          claimed jobs
     results/<t>          finished jobs, serialized JobResultRecord
 
-Coordination relies only on advisory flock and same-filesystem atomic
-rename, so any number of worker processes may share the root. Names in
-pending/, running/ and results/ that are not decimal job ids (NFS .nfs*
-files, editor droppings) are not jobs and are ignored.
+Jobs move between pending/, running/ and results/ only by same-filesystem
+atomic rename, so of two workers claiming one job exactly one wins; only best
+takes an advisory flock. Names in those directories that are not decimal job
+ids (NFS .nfs* files, editor droppings) are not jobs and are ignored.
 """
 
 from __future__ import annotations
 
 import fcntl
 import os
+import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 SHARDS = [f"{i:02d}" for i in range(100)]
 
@@ -91,9 +91,6 @@ class QueueLayout:
 
     def shard_dir(self, shard: str) -> Path:
         return self.pending_dir / shard
-
-    def shard_lock(self, shard: str) -> Path:
-        return self.pending_dir / f"{shard}.lock"
 
 
 @dataclass
@@ -188,17 +185,17 @@ def init_queue(root, graph_name: str, n: int, f: int) -> QueueLayout:
         raise QueueError(f"queue root {root} exists and is not empty")
     if n < 1 or f < 1:
         raise QueueError(f"need n >= 1 and f >= 1, got n={n} f={f}")
+    meta = f"graph={graph_name}\nn={n}\nf={f}\n"
+    if not meta.isascii():  # before any directory is made
+        raise QueueError(f"graph name {graph_name!r} is not ASCII")
     layout = QueueLayout(root=root)
     for shard in SHARDS:
         layout.shard_dir(shard).mkdir(parents=True)
-        layout.shard_lock(shard).touch()
     layout.running_dir.mkdir()
     layout.results_dir.mkdir()
     layout.best_lock.touch()
     layout.best_path.write_text("0\n", encoding="ascii")
-    layout.meta_path.write_text(
-        f"graph={graph_name}\nn={n}\nf={f}\n", encoding="ascii"
-    )
+    layout.meta_path.write_text(meta, encoding="ascii")
     for t in range(f * n):
         (layout.shard_dir(shard_of(t)) / str(t)).touch()
     return layout
@@ -213,34 +210,31 @@ def open_queue(root) -> QueueLayout:
 
 
 def read_meta(layout: QueueLayout) -> QueueMeta:
-    kv = _parse_kv(layout.meta_path.read_text(encoding="ascii"))
     try:
+        kv = _parse_kv(layout.meta_path.read_text(encoding="ascii"))
         return QueueMeta(graph=kv["graph"], n=int(kv["n"]), f=int(kv["f"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise QueueError(f"bad meta file: {exc}") from exc
 
 
-def claim_job(layout: QueueLayout, shard_order: Sequence[str]) -> int | None:
-    """Claim one pending job, visiting shards in the given order.
+def claim_order(job_count: int, seed: int) -> list[int]:
+    """All job ids, shard by shard in a seeded shuffle, ascending in a shard."""
+    shards = list(SHARDS)
+    random.Random(seed).shuffle(shards)
+    return [t for s in shards for t in range(int(s), job_count, 100)]
 
-    Takes the shard's exclusive lock before picking, and moves the job file
-    to running/ by atomic rename. Returns None when every shard was empty at
-    visit time.
-    """
-    if sorted(shard_order) != SHARDS:
-        raise QueueError("shard_order must be a permutation of the 100 shards")
-    for shard in shard_order:
-        shard_dir = layout.shard_dir(shard)
-        if not os.listdir(shard_dir):
+
+def claim_job(layout: QueueLayout, jobs: Iterable[int]) -> int | None:
+    """Claim the first still-pending job of `jobs` by one atomic rename into
+    running/; a lost race moves on to the next id. None once `jobs` runs out.
+    Pass one iterator across calls to resume where the last claim stopped."""
+    for t in jobs:
+        dest = layout.running_dir / str(t)
+        try:
+            os.rename(layout.shard_dir(shard_of(t)) / str(t), dest)
+        except FileNotFoundError:
             continue
-        with locked(layout.shard_lock(shard), exclusive=True):
-            ids = _job_ids(shard_dir)
-            if not ids:
-                continue
-            t = min(ids)
-            dest = layout.running_dir / str(t)
-            os.rename(shard_dir / str(t), dest)
-            os.utime(dest)  # rename keeps the old mtime; staleness counts from claim
+        os.utime(dest)  # rename keeps the old mtime; staleness counts from claim
         return t
     return None
 
@@ -302,14 +296,18 @@ def read_best_log(layout: QueueLayout) -> list[int]:
 
 
 def publish_result(layout: QueueLayout, record: JobResultRecord) -> None:
-    """Write the record into the running job file and move it to results/."""
+    """Write the record into running/<t> and move it to results/. A job
+    requeued while it ran may run twice; the second publish keeps the first."""
     running = layout.running_dir / str(record.t)
-    if not running.exists():
-        raise QueueError(
-            f"job {record.t} is not in running/ (double publish or never claimed)"
-        )
-    running.write_text(record.to_text(), encoding="ascii")
-    os.rename(running, layout.results_dir / str(record.t))
+    finished = layout.results_dir / str(record.t)
+    try:
+        with open(running, "r+", encoding="ascii") as fh:  # never creates running/<t>
+            fh.truncate()
+            fh.write(record.to_text())
+        os.rename(running, finished)
+    except FileNotFoundError:
+        if not finished.exists():
+            raise QueueError(f"job {record.t} was never claimed") from None
 
 
 def requeue_stale(layout: QueueLayout, grace_seconds: int) -> list[int]:

@@ -6,7 +6,6 @@ several workers at the same queue root.
 
 from __future__ import annotations
 
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -77,8 +76,8 @@ def run_job(
 def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
     """Drain the queue: claim, run, publish, propose the new best; repeat.
 
-    The graph is read and degree-sorted once. Exits once a full pass over
-    all shards finds nothing to claim.
+    The graph, its degree order and the claim order are built once. Exits
+    after a pass over the claim order that claims nothing.
     """
     layout = jobqueue.open_queue(config.queue_root)
     meta = jobqueue.read_meta(layout)
@@ -88,41 +87,41 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
             f"graph has {g.n} vertices but queue was initialized for n={meta.n}"
         )
     order = degree_sort(g)
-    shard_order = list(jobqueue.SHARDS)
-    random.Random(config.rng_seed).shuffle(shard_order)
+    claim_order = jobqueue.claim_order(meta.job_count, config.rng_seed)
     summary = WorkerSummary()
     last_finished = 0
-    while True:
-        t = jobqueue.claim_job(layout, shard_order)
-        if t is None:
-            break
-        c = jobqueue.read_best(layout)
-        refresher = None
-        if config.reread_best_seconds is not None:
-            refresher = _periodic_refresher(layout, config.reread_best_seconds)
-        record = run_job(
-            g,
-            t,
-            c,
-            config.worker_id,
-            meta.f,
-            order=order,
-            refresher=refresher,
-            not_before_unix_ms=last_finished,
-        )
-        last_finished = record.finished_unix_ms
-        jobqueue.publish_result(layout, record)
-        if record.omega > 0:
-            jobqueue.update_best(layout, record.omega)
-        summary.jobs += 1
-        summary.nodes += record.nodes
-        summary.wall_ms += record.wall_ms
-        print(
-            f"job={record.t} omega={record.omega} nodes={record.nodes} "
-            f"wall_ms={record.wall_ms} best_in={c}",
-            file=log,
-            flush=True,
-        )
+    claimed = True
+    while claimed:  # a pass; a job requeued behind its cursor waits for the next
+        jobs, claimed = iter(claim_order), False
+        for t in iter(lambda: jobqueue.claim_job(layout, jobs), None):
+            claimed = True
+            c = jobqueue.read_best(layout)
+            refresher = None
+            if config.reread_best_seconds is not None:
+                refresher = _periodic_refresher(layout, config.reread_best_seconds)
+            record = run_job(
+                g,
+                t,
+                c,
+                config.worker_id,
+                meta.f,
+                order=order,
+                refresher=refresher,
+                not_before_unix_ms=last_finished,
+            )
+            last_finished = record.finished_unix_ms
+            jobqueue.publish_result(layout, record)
+            if record.omega > 0:
+                jobqueue.update_best(layout, record.omega)
+            summary.jobs += 1
+            summary.nodes += record.nodes
+            summary.wall_ms += record.wall_ms
+            print(
+                f"job={record.t} omega={record.omega} nodes={record.nodes} "
+                f"wall_ms={record.wall_ms} best_in={c}",
+                file=log,
+                flush=True,
+            )
     return summary
 
 

@@ -28,13 +28,14 @@ from cliquefarm.graph import (
     to_dimacs,
 )
 from cliquefarm.jobqueue import (
-    SHARDS,
     claim_job,
+    claim_order,
     collect_results,
     init_queue,
     open_queue,
     read_best,
     read_best_log,
+    read_meta,
     requeue_stale,
     update_best,
 )
@@ -232,8 +233,7 @@ def _stress_updater(root, values):
 
 def _stress_claimer(root, out):
     layout = open_queue(root)
-    order = list(SHARDS)
-    random.shuffle(order)
+    order = claim_order(read_meta(layout).job_count, random.randrange(2**32))
     claimed = []
     while True:
         t = claim_job(layout, order)

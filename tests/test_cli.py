@@ -105,6 +105,14 @@ class TestQueueCommands:
         assert code == 1
         assert "not empty" in err
 
+    def test_init_non_ascii_graph_name_leaves_no_queue(self, tmp_path, capsys):
+        g = write_graph(tmp_path, cycle_graph(6), name="g\u00e9.clq")
+        q = tmp_path / "q"
+        code, _, err = run_cli(capsys, "init", "--graph", g, "--queue", q)
+        assert code == 1
+        assert "error:" in err
+        assert not q.exists()
+
     def test_split_factor_flag(self, tmp_path, capsys):
         g = write_graph(tmp_path, cycle_graph(6))
         code, out, _ = run_cli(
@@ -167,10 +175,10 @@ class TestQueueCommands:
         q = tmp_path / "q"
         run_cli(capsys, "init", "--graph", g, "--queue", q)
         # strand one claimed job, backdate it, then requeue
-        from cliquefarm.jobqueue import SHARDS, claim_job, open_queue
+        from cliquefarm.jobqueue import claim_job, open_queue
 
         layout = open_queue(q)
-        t = claim_job(layout, SHARDS)
+        t = claim_job(layout, range(48))
         old = 0
         os.utime(layout.running_dir / str(t), (old, old))
         code, out, _ = run_cli(capsys, "requeue", "--queue", q, "--grace-seconds", 5)

@@ -3,12 +3,16 @@
 bench/launch.py times each layer by wrapping its public module-level
 functions, and bench/layers.py calls a few of them directly. A missing or
 moved name does not fail the benchmark: its metric reads 0 or the kernel
-probe is skipped. These checks make such a rename fail here instead.
+probe is skipped. These checks make such a rename fail here instead. The
+queue contract the benchmark leans on is checked here too: launch.py tags
+later spans with the job id claim_job returns, and check.py looks for jobs
+left behind in pending/NN/.
 """
 
 import dataclasses
 import importlib
 import inspect
+import os
 
 import pytest
 
@@ -51,3 +55,24 @@ def test_jobspec_fields():
     assert inspect.isclass(distkernel.JobSpec)
     fields = {f.name for f in dataclasses.fields(distkernel.JobSpec)}
     assert {"t", "n", "f", "c"} <= fields
+
+
+def test_claim_job_returns_int_ids_then_none(tmp_path):
+    from cliquefarm import jobqueue
+
+    layout = jobqueue.init_queue(tmp_path / "q", "toy", n=1, f=3)
+    jobs = iter(jobqueue.claim_order(3, 0))
+    claimed = [jobqueue.claim_job(layout, jobs) for _ in range(3)]
+    assert all(type(t) is int for t in claimed)
+    assert sorted(claimed) == [0, 1, 2]
+    assert jobqueue.claim_job(layout, jobs) is None
+
+
+def test_drained_queue_keeps_pending_shard_dirs(tmp_path):
+    from cliquefarm import jobqueue
+
+    layout = jobqueue.init_queue(tmp_path / "q", "toy", n=2, f=8)
+    while jobqueue.claim_job(layout, range(16)) is not None:
+        pass
+    names = sorted(os.listdir(layout.pending_dir))
+    assert names == [f"{i:02d}" for i in range(100)]

@@ -1,5 +1,6 @@
 import multiprocessing as mp
 import os
+import random
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from cliquefarm.jobqueue import (
     JobResultRecord,
     QueueError,
     claim_job,
+    claim_order,
     collect_results,
     init_queue,
     open_queue,
@@ -75,6 +77,16 @@ class TestInit:
         assert (layout.shard_dir("34") / "134").exists()
         assert (layout.shard_dir("07") / "7").exists()
 
+    def test_no_lock_files_in_pending(self, tmp_path):
+        layout = init_queue(tmp_path / "q", "toy", n=30, f=8)
+        assert list(layout.pending_dir.rglob("*.lock")) == []
+
+    def test_non_ascii_meta_is_queue_error(self, tmp_path):
+        layout = init_queue(tmp_path / "q", "toy", n=5, f=8)
+        layout.meta_path.write_bytes(b"graph=g\xe9.clq\nn=5\nf=8\n")
+        with pytest.raises(QueueError, match="bad meta"):
+            read_meta(layout)
+
     def test_refuses_non_empty_root(self, tmp_path):
         root = tmp_path / "q"
         root.mkdir()
@@ -90,8 +102,8 @@ class TestInit:
 class TestClaim:
     def test_empty_queue_returns_none(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=1, f=1)
-        assert claim_job(layout, SHARDS) == 0
-        assert claim_job(layout, SHARDS) is None
+        assert claim_job(layout, range(1)) == 0
+        assert claim_job(layout, range(1)) is None
 
     def test_single_job_moves_to_running(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
@@ -99,21 +111,34 @@ class TestClaim:
         for t in range(8):
             if t != 5:
                 os.unlink(layout.shard_dir(shard_of(t)) / str(t))
-        assert claim_job(layout, SHARDS) == 5
+        assert claim_job(layout, range(8)) == 5
         assert os.listdir(layout.running_dir) == ["5"]
         pending = sum(len(os.listdir(layout.shard_dir(s))) for s in SHARDS)
         assert pending == 0
 
-    def test_bad_shard_order_rejected(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=1)
-        with pytest.raises(QueueError, match="permutation"):
-            claim_job(layout, SHARDS[:50])
+    def test_lost_race_moves_to_next_id(self, tmp_path):
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        assert claim_job(layout, [3]) == 3
+        jobs = iter([3, 5, 6])
+        assert claim_job(layout, jobs) == 5
+        assert claim_job(layout, jobs) == 6  # resumes after 5
+        assert claim_job(layout, jobs) is None
+
+    def test_claim_takes_no_lock_and_lists_nothing(self, tmp_path, monkeypatch):
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("claim_job must not lock or list")
+
+        monkeypatch.setattr(jobqueue, "locked", forbidden)
+        monkeypatch.setattr(os, "listdir", forbidden)
+        assert claim_job(layout, range(8)) == 0
 
     def test_conservation(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=4, f=8)
         claimed = []
         for _ in range(10):
-            claimed.append(claim_job(layout, SHARDS))
+            claimed.append(claim_job(layout, range(32)))
         pending = sum(len(os.listdir(layout.shard_dir(s))) for s in SHARDS)
         running = len(os.listdir(layout.running_dir))
         assert pending + running == 32
@@ -121,9 +146,43 @@ class TestClaim:
         assert len(set(claimed)) == 10
 
 
+def _first_shard_smallest_id_order(job_count, seed):
+    """Claim order of a worker that, for every claim, shuffles SHARDS with
+    random.Random(seed) and takes the smallest pending id of the first shard
+    that has one."""
+    shards = list(SHARDS)
+    random.Random(seed).shuffle(shards)
+    pending = {s: set() for s in SHARDS}
+    for t in range(job_count):
+        pending[shard_of(t)].add(t)
+    order = []
+    while any(pending.values()):
+        shard = next(s for s in shards if pending[s])
+        t = min(pending[shard])
+        pending[shard].remove(t)
+        order.append(t)
+    return order
+
+
+class TestClaimOrder:
+    # farm node counts depend on which jobs a worker takes first; pin the order
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_order_is_shard_major_ascending(self, tmp_path, seed):
+        n, f = 1000, 8
+        expected = _first_shard_smallest_id_order(f * n, seed)
+        assert sorted(expected) == list(range(f * n))
+        assert claim_order(f * n, seed) == expected
+        layout = init_queue(tmp_path / "q", "toy", n=n, f=f)
+        jobs = iter(claim_order(f * n, seed))
+        drained = []
+        while (t := claim_job(layout, jobs)) is not None:
+            drained.append(t)
+        assert drained == expected
+
+
 def _claim_one(root, out_queue):
     layout = open_queue(root)
-    out_queue.put(claim_job(layout, SHARDS))
+    out_queue.put(claim_job(layout, range(1)))
 
 
 class TestClaimRace:
@@ -253,17 +312,41 @@ class TestBestConcurrency:
 class TestPublish:
     def test_publish_then_collect(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
-        t = claim_job(layout, SHARDS)
+        t = claim_job(layout, range(8))
         publish_result(layout, make_record(t=t))
         assert os.listdir(layout.running_dir) == []
         assert str(t) in os.listdir(layout.results_dir)
 
-    def test_double_publish_errors(self, tmp_path):
+    def test_requeued_live_job_published_twice_keeps_first(self, tmp_path):
+        # requeue on a job still running lets a second worker run it too
         layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
-        t = claim_job(layout, SHARDS)
-        publish_result(layout, make_record(t=t))
-        with pytest.raises(QueueError, match="double publish"):
-            publish_result(layout, make_record(t=t))
+        t = claim_job(layout, range(8))
+        old = time.time() - 120
+        os.utime(layout.running_dir / str(t), (old, old))
+        assert requeue_stale(layout, grace_seconds=60) == [t]
+        assert claim_job(layout, range(8)) == t
+        publish_result(layout, make_record(t=t, worker="first"))
+        publish_result(layout, make_record(t=t, worker="second"))
+        assert os.listdir(layout.running_dir) == []
+        summary = collect_results(layout, expected_count=1)
+        assert [r.worker for r in summary.records] == ["first"]
+
+    def test_publish_losing_the_rename_keeps_first(self, tmp_path, monkeypatch):
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        t = claim_job(layout, range(8))
+        real_rename = os.rename
+
+        def other_worker_publishes_first(src, dst):
+            first = make_record(t=t, worker="first")
+            (layout.results_dir / str(t)).write_text(first.to_text())
+            os.unlink(src)
+            real_rename(src, dst)  # FileNotFoundError, as after a lost race
+
+        monkeypatch.setattr(os, "rename", other_worker_publishes_first)
+        publish_result(layout, make_record(t=t, worker="second"))
+        monkeypatch.undo()
+        summary = collect_results(layout, expected_count=1)
+        assert [r.worker for r in summary.records] == ["first"]
 
     def test_publish_unclaimed_errors(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
@@ -311,12 +394,12 @@ class TestRequeue:
 
     def test_fresh_job_within_grace(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
-        claim_job(layout, SHARDS)
+        claim_job(layout, range(16))
         assert requeue_stale(layout, 60) == []
 
     def test_stale_job_goes_home(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
-        t = claim_job(layout, SHARDS)
+        t = claim_job(layout, range(16))
         old = time.time() - 120
         os.utime(layout.running_dir / str(t), (old, old))
         assert requeue_stale(layout, 60) == [t]
@@ -341,11 +424,11 @@ def test_stray_names_are_not_jobs(tmp_path, where):
     stray.write_text("x")
     old = time.time() - 120
     os.utime(stray, (old, old))
-    assert claim_job(layout, SHARDS) == 0
-    assert claim_job(layout, SHARDS) is None
+    assert claim_job(layout, range(1)) == 0
+    assert claim_job(layout, range(1)) is None
     os.utime(layout.running_dir / "0", (old, old))
     assert requeue_stale(layout, 60) == [0]
-    assert claim_job(layout, SHARDS) == 0
+    assert claim_job(layout, range(1)) == 0
     publish_result(layout, make_record(t=0, omega=0, clique=()))
     summary = collect_results(layout)
     assert summary.complete
@@ -356,7 +439,7 @@ def test_stray_names_are_not_jobs(tmp_path, where):
 class TestCollect:
     def _publish_all(self, layout, count, omega_of=lambda t: 0):
         for _ in range(count):
-            t = claim_job(layout, SHARDS)
+            t = claim_job(layout, range(16))
             omega = omega_of(t)
             clique = list(range(1, omega + 1))
             publish_result(

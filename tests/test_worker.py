@@ -1,4 +1,6 @@
 import io
+import os
+import time
 
 import pytest
 
@@ -6,10 +8,13 @@ from cliquefarm.core import mc
 from cliquefarm.graph import generate_gnp, to_dimacs
 from cliquefarm.jobqueue import (
     QueueError,
+    claim_job,
+    claim_order,
     collect_results,
     init_queue,
     open_queue,
     read_best,
+    requeue_stale,
 )
 from cliquefarm.worker import WorkerConfig, run_job, worker_loop
 
@@ -82,14 +87,38 @@ class TestWorkerLoop:
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
         layout = init_queue(root, graph_path.name, n=3, f=1)
-        from cliquefarm.jobqueue import SHARDS, claim_job
-
-        while claim_job(layout, SHARDS) is not None:
+        while claim_job(layout, range(3)) is not None:
             pass
         summary = worker_loop(
             WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
         )
         assert summary.jobs == 0
+
+    def test_job_requeued_behind_cursor_runs_on_next_pass(self, tmp_path):
+        g = generate_gnp(12, 0.5, 2)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        layout = init_queue(root, graph_path.name, n=g.n, f=8)
+        # the worker's first pick is already taken, so its cursor passes it by
+        first = claim_order(8 * g.n, 0)[0]
+        assert claim_job(layout, [first]) == first
+        requeued = []
+
+        class RequeueOnFirstWrite(io.StringIO):
+            def write(self, text):
+                if not requeued:
+                    old = time.time() - 120
+                    os.utime(layout.running_dir / str(first), (old, old))
+                    requeued.extend(requeue_stale(layout, 60))
+                return super().write(text)
+
+        summary = worker_loop(
+            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
+            log=RequeueOnFirstWrite(),
+        )
+        assert requeued == [first]
+        assert summary.jobs == 8 * g.n
+        assert collect_results(layout).complete
 
     def test_graph_meta_mismatch_refused(self, tmp_path):
         graph_path = write_graph(tmp_path, complete_graph(4))
