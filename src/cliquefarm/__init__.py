@@ -30,6 +30,7 @@ from .jobqueue import (
     collect_results,
     init_queue,
     open_queue,
+    pending_jobs,
     publish_result,
     read_best,
     requeue_stale,

@@ -25,29 +25,27 @@ class SearchContext:
 def colour_sort(p: list[int], g: Graph) -> tuple[list[int], list[int]]:
     """Greedy sequential colouring of P in its given order: (stack, colours).
 
-    Each vertex takes the smallest colour class containing none of its
-    neighbours; classes keep insertion order and are concatenated to build
-    the stack, so popping from the end yields non-increasing colours.
-    colours[i] is the colour of stack[i], from 1 up to the number used.
+    Colour k is the greedy independent set, in P's order, of the vertices
+    that colours 1..k-1 left, pushed onto the stack as it is taken; so
+    popping from the end yields non-increasing colours. colours[i] is the
+    colour of stack[i], from 1 up to the number used.
     """
     adj = g.adj
-    class_masks: list[int] = []
-    class_members: list[list[int]] = []
-    for v in p:
-        av = adj[v]
-        for k in range(len(class_masks)):
-            if not av & class_masks[k]:
-                class_masks[k] |= 1 << v
-                class_members[k].append(v)
-                break
-        else:
-            class_masks.append(1 << v)
-            class_members.append([v])
     stack: list[int] = []
     colours: list[int] = []
-    for k, members in enumerate(class_members, 1):
-        stack.extend(members)
-        colours.extend([k] * len(members))
+    k = 0
+    while p:
+        k += 1
+        taken = 0
+        rest = []
+        for v in p:
+            if adj[v] & taken:
+                rest.append(v)
+            else:
+                taken |= 1 << v
+                stack.append(v)
+                colours.append(k)
+        p = rest
     return stack, colours
 
 

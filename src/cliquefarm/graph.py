@@ -1,7 +1,9 @@
 """Graph representation, DIMACS I/O, random instances and a brute-force oracle.
 
-Vertices are 0-based internally; DIMACS files are 1-based and the offset is
-applied at the parse/serialise boundary only.
+Vertices are 0-based internally; DIMACS files are 1-based. The offset is
+applied where a vertex crosses to or from the user: at parse and serialise
+here, and where a clique is printed or recorded (cli.cmd_solve,
+cli.cmd_oracle and worker.run_job).
 """
 
 from __future__ import annotations

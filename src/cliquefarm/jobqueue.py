@@ -239,8 +239,22 @@ def claim_job(layout: QueueLayout, jobs: Iterable[int]) -> int | None:
     return None
 
 
+def pending_jobs(layout: QueueLayout) -> set[int]:
+    """The ids of the jobs now in pending/ that claim_job can take; a name no
+    claim would move (wrong shard, leading zero) is skipped, so no worker
+    waits on it."""
+    return {
+        t
+        for shard in SHARDS
+        for t in _job_ids(layout.shard_dir(shard))
+        if (layout.shard_dir(shard_of(t)) / str(t)).exists()
+    }
+
+
 def read_best(layout: QueueLayout) -> int:
-    """Current incumbent size, read under a shared lock."""
+    """Current incumbent size, read under a shared lock: update_best must not
+    replace best under an open reader, as over NFS the replaced file can
+    vanish under that reader."""
     with locked(layout.best_lock, exclusive=False):
         return _best_in(layout.best_path)
 
@@ -260,18 +274,12 @@ def _best_in(path: Path) -> int:
 def update_best(layout: QueueLayout, candidate: int) -> tuple[bool, int]:
     """Propose a new incumbent; returns (wrote, value now in the file).
 
-    Two-phase: a shared-lock read rejects non-improving candidates cheaply;
-    only a strict improvement takes the exclusive lock, re-compares (the
-    value may have moved in between) and writes. The shared lock is fully
-    released before the exclusive one is requested, so no deadlock. The new
-    value is written to best.tmp and renamed onto best, so a kill never
-    leaves best half-written.
+    Reads best once, under the exclusive lock, and writes only a strict
+    improvement: to best.tmp, then renamed onto best, so a kill never leaves
+    best half-written. Each write appends a line to best.log.
     """
     if candidate < 0:
         raise QueueError(f"candidate must be >= 0, got {candidate}")
-    current = read_best(layout)
-    if candidate <= current:
-        return False, current
     with locked(layout.best_lock, exclusive=True):
         current = _best_in(layout.best_path)
         if candidate <= current:
@@ -319,12 +327,12 @@ def requeue_stale(layout: QueueLayout, grace_seconds: int) -> list[int]:
     for t in _job_ids(layout.running_dir):
         path = layout.running_dir / str(t)
         try:
-            age = now - path.stat().st_mtime
-        except FileNotFoundError:
-            continue  # finished while we were scanning
-        if age > grace_seconds:
+            if now - path.stat().st_mtime <= grace_seconds:
+                continue
             os.rename(path, layout.shard_dir(shard_of(t)) / str(t))
-            moved.append(t)
+        except FileNotFoundError:
+            continue  # published while we were scanning
+        moved.append(t)
     return sorted(moved)
 
 

@@ -76,8 +76,12 @@ def run_job(
 def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
     """Drain the queue: claim, run, publish, propose the new best; repeat.
 
-    The graph, its degree order and the claim order are built once. Exits
-    after a pass over the claim order that claims nothing.
+    The graph, its degree order and the claim order are built once. The
+    first pass walks the whole claim order; each later pass walks, in that
+    order, only the jobs still in pending/ when the last pass ended, and the
+    worker exits when there are none. A job requeued while it ran and not
+    yet re-run cannot be published: it is dropped with a log line, neither
+    counted nor proposed as best, and runs again from pending/.
     """
     layout = jobqueue.open_queue(config.queue_root)
     meta = jobqueue.read_meta(layout)
@@ -90,11 +94,10 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
     claim_order = jobqueue.claim_order(meta.job_count, config.rng_seed)
     summary = WorkerSummary()
     last_finished = 0
-    claimed = True
-    while claimed:  # a pass; a job requeued behind its cursor waits for the next
-        jobs, claimed = iter(claim_order), False
+    pass_order = claim_order
+    while pass_order:  # a job requeued behind the cursor waits for the next pass
+        jobs = iter(pass_order)
         for t in iter(lambda: jobqueue.claim_job(layout, jobs), None):
-            claimed = True
             c = jobqueue.read_best(layout)
             refresher = None
             if config.reread_best_seconds is not None:
@@ -110,7 +113,11 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
                 not_before_unix_ms=last_finished,
             )
             last_finished = record.finished_unix_ms
-            jobqueue.publish_result(layout, record)
+            try:
+                jobqueue.publish_result(layout, record)
+            except QueueError:  # requeued while it ran: no record, so no best
+                print(f"job={t} dropped=requeued", file=log, flush=True)
+                continue
             if record.omega > 0:
                 jobqueue.update_best(layout, record.omega)
             summary.jobs += 1
@@ -122,6 +129,8 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
                 file=log,
                 flush=True,
             )
+        pending = jobqueue.pending_jobs(layout)
+        pass_order = [t for t in claim_order if t in pending]
     return summary
 
 

@@ -12,6 +12,25 @@ def colour_of(stack, colours):
     return dict(zip(stack, colours))
 
 
+def greedy_colouring(p, g):
+    """Vertex-by-vertex greedy colouring: each vertex of P in turn joins the
+    first class holding none of its neighbours; the classes, in order, make
+    the stack."""
+    class_masks, class_members = [], []
+    for v in p:
+        for k in range(len(class_masks)):
+            if not g.adj[v] & class_masks[k]:
+                class_masks[k] |= 1 << v
+                class_members[k].append(v)
+                break
+        else:
+            class_masks.append(1 << v)
+            class_members.append([v])
+    stack = [v for members in class_members for v in members]
+    colours = [k for k, members in enumerate(class_members, 1) for _ in members]
+    return stack, colours
+
+
 class TestColourSort:
     def test_empty(self, k5):
         assert colour_sort([], k5) == ([], [])
@@ -51,6 +70,19 @@ class TestColourSort:
             for v in stack:
                 if g.adj[u] >> v & 1:
                     assert colour[u] != colour[v]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.floats(0, 1),
+        seed=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    def test_matches_vertex_by_vertex_greedy(self, n, p, seed, data):
+        g = generate_gnp(n, p, seed)
+        shuffled = data.draw(st.permutations(range(n)))
+        subset = shuffled[: data.draw(st.integers(0, n))]
+        assert colour_sort(subset, g) == greedy_colouring(subset, g)
 
     def test_bound_soundness(self):
         # the number of colours is an upper bound on the clique number of P

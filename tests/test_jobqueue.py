@@ -17,6 +17,7 @@ from cliquefarm.jobqueue import (
     collect_results,
     init_queue,
     open_queue,
+    pending_jobs,
     publish_result,
     read_best,
     read_best_log,
@@ -164,6 +165,14 @@ def _first_shard_smallest_id_order(job_count, seed):
     return order
 
 
+def test_pending_jobs_are_what_a_claim_can_take(tmp_path):
+    layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+    assert claim_job(layout, [3]) == 3
+    for stray in ("00/.nfs0003", "03/03", "04/3"):  # no claim moves these
+        (layout.pending_dir / stray).touch()
+    assert pending_jobs(layout) == {0, 1, 2, 4, 5, 6, 7}
+
+
 class TestClaimOrder:
     # farm node counts depend on which jobs a worker takes first; pin the order
     @pytest.mark.parametrize("seed", [0, 1])
@@ -251,19 +260,27 @@ class TestBest:
         with pytest.raises(QueueError, match="corrupt"):
             read_best(layout)
 
-    @pytest.mark.parametrize("phase", ["shared", "exclusive"])
     # empty: what an in-place write cut short leaves; then a non-ASCII byte
     @pytest.mark.parametrize("raw", [b"\n", b"\xff\n"], ids=["empty", "non-ascii"])
-    def test_corrupt_best_fails_update_in_either_phase(
-        self, tmp_path, monkeypatch, phase, raw
-    ):
+    def test_corrupt_best_fails_update(self, tmp_path, raw):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
         layout.best_path.write_bytes(raw)
-        if phase == "exclusive":
-            # the file turns corrupt after the shared-lock read saw a good value
-            monkeypatch.setattr(jobqueue, "read_best", lambda layout: 0)
         with pytest.raises(QueueError, match="corrupt"):
             update_best(layout, 3)
+
+    def test_update_locks_best_once_exclusively(self, tmp_path, monkeypatch):
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        real_locked = jobqueue.locked
+        taken = []
+
+        def spy(path, exclusive):
+            taken.append((path, exclusive))
+            return real_locked(path, exclusive)
+
+        monkeypatch.setattr(jobqueue, "locked", spy)
+        assert update_best(layout, 5) == (True, 5)
+        assert update_best(layout, 3) == (False, 5)
+        assert taken == [(layout.best_lock, True)] * 2
 
     def test_failed_replace_keeps_old_best(self, tmp_path, monkeypatch):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
@@ -404,6 +421,28 @@ class TestRequeue:
         os.utime(layout.running_dir / str(t), (old, old))
         assert requeue_stale(layout, 60) == [t]
         assert (layout.shard_dir(shard_of(t)) / str(t)).exists()
+
+    def test_publish_between_stat_and_rename_is_skipped(self, tmp_path, monkeypatch):
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        jobs = iter(range(16))
+        stale = {claim_job(layout, jobs), claim_job(layout, jobs)}
+        old = time.time() - 120
+        for t in stale:
+            os.utime(layout.running_dir / str(t), (old, old))
+        real_rename = os.rename
+        published = []
+
+        def publish_first(src, dst):
+            if not published:  # the first stale job is published before it moves
+                published.append(int(os.path.basename(src)))
+                publish_result(layout, make_record(t=published[0]))
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", publish_first)
+        moved = requeue_stale(layout, 60)
+        monkeypatch.undo()
+        assert moved == sorted(stale - set(published))
+        assert collect_results(layout, expected_count=16).records[0].t == published[0]
 
     def test_grace_must_be_positive(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8)

@@ -1,9 +1,11 @@
 import io
 import os
 import time
+from pathlib import Path
 
 import pytest
 
+from cliquefarm import worker
 from cliquefarm.core import mc
 from cliquefarm.graph import generate_gnp, to_dimacs
 from cliquefarm.jobqueue import (
@@ -119,6 +121,54 @@ class TestWorkerLoop:
         assert requeued == [first]
         assert summary.jobs == 8 * g.n
         assert collect_results(layout).complete
+
+    def test_last_pass_walks_only_pending_jobs(self, tmp_path, monkeypatch):
+        g = generate_gnp(12, 0.5, 2)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        layout = init_queue(root, graph_path.name, n=g.n, f=2)
+        real_rename = os.rename
+        from_pending = []
+
+        def counting_rename(src, dst):
+            if Path(src).parent.parent == layout.pending_dir:
+                from_pending.append(src)
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", counting_rename)
+        summary = worker_loop(
+            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
+        )
+        assert summary.jobs == 24
+        assert len(from_pending) == 24
+
+    def test_job_requeued_while_running_is_dropped_and_rerun(self, tmp_path, monkeypatch):
+        g = generate_gnp(12, 0.5, 2)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        layout = init_queue(root, graph_path.name, n=g.n, f=8)
+        real_run_job = worker.run_job
+        requeued = []
+
+        def requeue_own_job_once(g, t, *args, **kwargs):
+            if not requeued:
+                old = time.time() - 120
+                os.utime(layout.running_dir / str(t), (old, old))
+                requeued.extend(requeue_stale(layout, 60))
+            return real_run_job(g, t, *args, **kwargs)
+
+        monkeypatch.setattr(worker, "run_job", requeue_own_job_once)
+        log = io.StringIO()
+        summary = worker_loop(
+            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
+            log=log,
+        )
+        assert requeued == [claim_order(8 * g.n, 0)[0]]
+        assert f"job={requeued[0]} dropped=requeued" in log.getvalue().splitlines()
+        assert summary.jobs == 8 * g.n
+        result = collect_results(layout)
+        assert result.complete
+        assert result.best_omega == read_best(layout) == len(mc(g)[0])
 
     def test_graph_meta_mismatch_refused(self, tmp_path):
         graph_path = write_graph(tmp_path, complete_graph(4))
