@@ -260,11 +260,18 @@ class TestBest:
         with pytest.raises(QueueError, match="corrupt"):
             read_best(layout)
 
+    @pytest.mark.parametrize("phase", ["shared", "exclusive"])
     # empty: what an in-place write cut short leaves; then a non-ASCII byte
     @pytest.mark.parametrize("raw", [b"\n", b"\xff\n"], ids=["empty", "non-ascii"])
-    def test_corrupt_best_fails_update(self, tmp_path, raw):
+    def test_corrupt_best_fails_update_in_either_phase(
+        self, tmp_path, monkeypatch, phase, raw
+    ):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
         layout.best_path.write_bytes(raw)
+        if phase == "exclusive":
+            # the file turns corrupt after a shared-lock read saw a good value:
+            # update_best must parse best itself, under the exclusive lock
+            monkeypatch.setattr(jobqueue, "read_best", lambda layout: 0)
         with pytest.raises(QueueError, match="corrupt"):
             update_best(layout, 3)
 
