@@ -129,7 +129,11 @@ def cmd_gen(args) -> int:
 def cmd_init(args) -> int:
     g = load_dimacs(args.graph)
     layout = jobqueue.init_queue(
-        args.queue, graph_name=args.graph.name, n=g.n, f=args.split_factor
+        args.queue,
+        graph_name=args.graph.name,
+        n=g.n,
+        f=args.split_factor,
+        fingerprint=g.fingerprint(),
     )
     print(f"initialized {layout.root} with {args.split_factor * g.n} jobs")
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import SearchContext, colour_sort, expand
-from .graph import Graph, degree_sort
+from .graph import Graph
 
 DEFAULT_SPLIT_FACTOR = 8
 
@@ -47,44 +47,32 @@ class JobSpec:
         return self.t // self.n
 
 
-@dataclass(frozen=True)
-class BranchAddress:
-    """Position of a depth-2 node: labels of its depth-1 and depth-2 branches."""
-
-    first: int
-    second: int
-
-
-def job_membership(spec: JobSpec, addr: BranchAddress) -> bool:
-    """True iff the depth-2 address belongs to this job's slice."""
-    return (
-        addr.first == spec.first_level
-        and addr.second % spec.f == spec.second_level_residue
-    )
+def job_membership(spec: JobSpec, first: int, second: int) -> bool:
+    """True iff the depth-2 node with depth-1 label `first` and depth-2 label
+    `second` belongs to this job's slice."""
+    return first == spec.first_level and second % spec.f == spec.second_level_residue
 
 
 def mc_dist(
     g: Graph,
     spec: JobSpec,
-    order: list[int] | None = None,
+    order: list[int],
     refresher: BoundRefresher | None = None,
 ) -> tuple[list[int], SearchContext]:
     """Run one job; returns ([] if nothing beats spec.c, else clique, stats).
 
-    The initial ordering is identical to the sequential search so branch
-    labels agree across all jobs. `order` may carry a precomputed degree sort
-    (workers compute it once per graph). The root is coloured as in
-    core.expand; if the colour of the job's depth-1 branch beats spec.c, the
-    search descends into that branch alone and core.expand filters its
-    depth-2 branches through job_membership. `refresher`, when given, runs
-    before each depth-2 branch of that depth-1 node and may raise
-    ctx.best_size (periodic re-read of a shared incumbent).
+    `order` must be degree_sort(g), the sequential search's ordering, so
+    that branch labels agree across all jobs; workers compute it once per
+    graph. The root is coloured as in core.expand; if the colour of the
+    job's depth-1 branch beats spec.c, the search descends into that branch
+    alone and core.expand filters its depth-2 branches through
+    job_membership. `refresher`, when given, runs before each depth-2 branch
+    of that depth-1 node and may raise ctx.best_size (periodic re-read of a
+    shared incumbent).
     """
     if spec.n != g.n:
         raise ValueError(f"job is for n={spec.n} but graph has n={g.n}")
     ctx = SearchContext(best_size=spec.c, nodes=1)  # the root
-    if order is None:
-        order = degree_sort(g)
     stack, colours = colour_sort(order, g)
     first = spec.first_level
     if colours[first] <= spec.c:
@@ -93,7 +81,7 @@ def mc_dist(
     def keep(label: int, ctx: SearchContext) -> bool:
         if refresher is not None:
             refresher(ctx)
-        return job_membership(spec, BranchAddress(first, label))
+        return job_membership(spec, first, label)
 
     v = stack[first]
     av = g.adj[v]
@@ -104,8 +92,3 @@ def mc_dist(
     elif spec.c == 0:
         ctx.best_clique, ctx.best_size = [v], 1
     return sorted(ctx.best_clique), ctx
-
-
-def all_jobs(n: int, f: int = DEFAULT_SPLIT_FACTOR, c: int = 0) -> list[JobSpec]:
-    """The full f*n-job partition for a graph of n vertices."""
-    return [JobSpec(t=t, n=n, f=f, c=c) for t in range(f * n)]

@@ -9,7 +9,8 @@ cli.cmd_oracle and worker.run_job).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+import zlib
+from typing import Iterable
 
 BRUTE_FORCE_LIMIT = 32
 
@@ -51,10 +52,17 @@ class Graph:
         self.adj = adj
         self.degree = [m.bit_count() for m in adj]
 
-    def adjacent(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
+    def fingerprint(self) -> str:
+        """CRC-32 of n and the adjacency masks, as 8 hex digits.
+
+        Equal graphs give equal prints; two different graphs share one with
+        odds of about 2**-32, enough to catch a worker given the wrong file.
+        Not sha256: importing hashlib loads OpenSSL, about 3.7 MB more peak
+        RSS in each process that hashes, where zlib is loaded already.
+        """
+        width = (self.n + 7) // 8
+        masks = b"".join(m.to_bytes(width, "little") for m in self.adj)
+        return format(zlib.crc32(b"%d\n" % self.n + masks), "08x")
 
     def edge_count(self) -> int:
         return sum(self.degree) // 2
@@ -71,10 +79,6 @@ class Graph:
                 rest >>= 1
                 v += 1
         return out
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise GraphError(f"vertex {v} outside graph of {self.n} vertices")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -181,7 +185,8 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff every pair in `vertices` is adjacent (vacuously for |S| <= 1)."""
     vs = list(vertices)
     for v in vs:
-        g._check_vertex(v)
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} outside graph of {g.n} vertices")
     for i, u in enumerate(vs):
         for v in vs[i + 1 :]:
             if not (g.adj[u] >> v & 1):

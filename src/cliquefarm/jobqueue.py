@@ -2,7 +2,7 @@
 
 Layout under the queue root:
 
-    meta                 key=value: graph name, n, split factor f
+    meta                 key=value: graph name, n, split factor f, fingerprint
     best                 current incumbent size, ASCII decimal + newline
     best.lock            advisory lock file guarding best
     best.tmp             the next best, written whole, then renamed onto best
@@ -13,8 +13,9 @@ Layout under the queue root:
 
 Jobs move between pending/, running/ and results/ only by same-filesystem
 atomic rename, so of two workers claiming one job exactly one wins; only best
-takes an advisory flock. Names in those directories that are not decimal job
-ids (NFS .nfs* files, editor droppings) are not jobs and are ignored.
+takes an advisory flock. Only the canonical decimal name of a job id (no sign,
+no leading zero, ASCII digits) names a job; any other name in those
+directories (NFS .nfs* files, editor droppings, 07) is ignored.
 """
 
 from __future__ import annotations
@@ -48,8 +49,13 @@ def locked(path: Path, exclusive: bool) -> Iterator[None]:
 
 
 def _job_ids(directory: Path) -> list[int]:
-    """The job ids named in a queue directory, skipping any other name."""
-    return [int(name) for name in os.listdir(directory) if name.isdecimal()]
+    """The job ids named in a queue directory, skipping any name that is not
+    an id's canonical decimal form (str(t))."""
+    return [
+        int(name)
+        for name in os.listdir(directory)
+        if name.isdecimal() and str(int(name)) == name
+    ]
 
 
 def shard_of(t: int) -> str:
@@ -98,6 +104,7 @@ class QueueMeta:
     graph: str
     n: int
     f: int
+    fingerprint: str  # Graph.fingerprint(); "" in a meta written without one
 
     @property
     def job_count(self) -> int:
@@ -178,14 +185,15 @@ def _parse_kv(text: str) -> dict[str, str]:
     return kv
 
 
-def init_queue(root, graph_name: str, n: int, f: int) -> QueueLayout:
-    """Create the queue directory tree and all f*n pending job files."""
+def init_queue(root, graph_name: str, n: int, f: int, fingerprint: str) -> QueueLayout:
+    """Create the queue directory tree and all f*n pending job files; meta
+    keeps `fingerprint` (Graph.fingerprint()) for workers to check."""
     root = Path(root)
     if root.exists() and any(root.iterdir()):
         raise QueueError(f"queue root {root} exists and is not empty")
     if n < 1 or f < 1:
         raise QueueError(f"need n >= 1 and f >= 1, got n={n} f={f}")
-    meta = f"graph={graph_name}\nn={n}\nf={f}\n"
+    meta = f"graph={graph_name}\nn={n}\nf={f}\nfingerprint={fingerprint}\n"
     if not meta.isascii():  # before any directory is made
         raise QueueError(f"graph name {graph_name!r} is not ASCII")
     layout = QueueLayout(root=root)
@@ -212,7 +220,8 @@ def open_queue(root) -> QueueLayout:
 def read_meta(layout: QueueLayout) -> QueueMeta:
     try:
         kv = _parse_kv(layout.meta_path.read_text(encoding="ascii"))
-        return QueueMeta(graph=kv["graph"], n=int(kv["n"]), f=int(kv["f"]))
+        graph, n, f = kv["graph"], int(kv["n"]), int(kv["f"])
+        return QueueMeta(graph, n, f, fingerprint=kv.get("fingerprint", ""))
     except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise QueueError(f"bad meta file: {exc}") from exc
 
@@ -241,13 +250,13 @@ def claim_job(layout: QueueLayout, jobs: Iterable[int]) -> int | None:
 
 def pending_jobs(layout: QueueLayout) -> set[int]:
     """The ids of the jobs now in pending/ that claim_job can take; a name no
-    claim would move (wrong shard, leading zero) is skipped, so no worker
+    claim would move (wrong shard, not canonical) is skipped, so no worker
     waits on it."""
     return {
         t
         for shard in SHARDS
         for t in _job_ids(layout.shard_dir(shard))
-        if (layout.shard_dir(shard_of(t)) / str(t)).exists()
+        if shard_of(t) == shard
     }
 
 
@@ -346,15 +355,14 @@ class CollectSummary:
     errors: list[str] = field(default_factory=list)
 
 
-def collect_results(layout: QueueLayout, expected_count: int | None = None) -> CollectSummary:
+def collect_results(layout: QueueLayout) -> CollectSummary:
     """Parse every result record and pick the best.
 
     Best = highest omega, preferring records with a non-empty clique, ties
     broken by lowest job id. Unparseable files are reported in `errors`, not
-    fatal.
+    fatal. The expected jobs are the f*n of meta.
     """
-    if expected_count is None:
-        expected_count = read_meta(layout).job_count
+    job_count = read_meta(layout).job_count
     records = []
     errors = []
     for t in sorted(_job_ids(layout.results_dir)):
@@ -369,7 +377,7 @@ def collect_results(layout: QueueLayout, expected_count: int | None = None) -> C
             continue
         records.append(record)
     present = {r.t for r in records}
-    missing = [t for t in range(expected_count) if t not in present]
+    missing = [t for t in range(job_count) if t not in present]
     best_omega, best_clique = 0, []
     for record in sorted(records, key=lambda r: (-r.omega, not r.clique, r.t)):
         best_omega, best_clique = record.omega, list(record.clique)

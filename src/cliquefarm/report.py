@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .jobqueue import JobResultRecord
@@ -150,27 +150,3 @@ def emit_report(report: RunReport, out_dir) -> None:
             ]
         )
 
-
-def load_report(out_dir) -> RunReport:
-    """Inverse of emit_report: load_report(emit_report(r)) == r."""
-    out = Path(out_dir)
-    with open(out / "busy.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-        busy_steps = [(int(a), int(b)) for a, b in rows]
-    with open(out / "workers.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-        per_worker = [WorkerRow(w, int(a), int(b), int(c)) for w, a, b, c in rows]
-    with open(out / "tail.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-        tail_contour = [(float(a), int(b)) for a, b in rows]
-    with open(out / "summary.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-        makespan_ms, speedup_raw, skew = rows[0]
-    return RunReport(
-        busy_steps=busy_steps,
-        per_worker=per_worker,
-        tail_contour=tail_contour,
-        makespan_ms=int(makespan_ms),
-        speedup=None if speedup_raw == "" else float(speedup_raw),
-        clock_skew_caveat=bool(int(skew)),
-    )

@@ -45,7 +45,7 @@ def run_job(
     c: int,
     worker_id: str,
     f: int,
-    order: list[int] | None = None,
+    order: list[int],
     refresher=None,
     not_before_unix_ms: int = 0,
 ) -> JobResultRecord:
@@ -76,7 +76,9 @@ def run_job(
 def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
     """Drain the queue: claim, run, publish, propose the new best; repeat.
 
-    The graph, its degree order and the claim order are built once. The
+    The graph must be the one the queue was made for: its fingerprint must
+    equal meta's, or QueueError is raised before anything is claimed. The
+    graph, its degree order and the claim order are built once. The
     first pass walks the whole claim order; each later pass walks, in that
     order, only the jobs still in pending/ when the last pass ended, and the
     worker exits when there are none. A job requeued while it ran and not
@@ -86,9 +88,12 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
     layout = jobqueue.open_queue(config.queue_root)
     meta = jobqueue.read_meta(layout)
     g = load_dimacs(config.graph_path)
-    if g.n != meta.n:
+    fingerprint = g.fingerprint()
+    if fingerprint != meta.fingerprint:
         raise QueueError(
-            f"graph has {g.n} vertices but queue was initialized for n={meta.n}"
+            f"queue was initialized for another graph (n={meta.n}, fingerprint "
+            f"{meta.fingerprint or 'missing'}), not this one (n={g.n}, fingerprint "
+            f"{fingerprint})"
         )
     order = degree_sort(g)
     claim_order = jobqueue.claim_order(meta.job_count, config.rng_seed)

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from cliquefarm.distkernel import DEFAULT_SPLIT_FACTOR, JobSpec
 from cliquefarm.graph import Graph
 
 sys.setrecursionlimit(100_000)
@@ -25,6 +26,11 @@ def star_graph(leaves: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph(n)
+
+
+def all_jobs(n: int, f: int = DEFAULT_SPLIT_FACTOR, c: int = 0) -> list[JobSpec]:
+    """The full f*n-job partition for a graph of n vertices."""
+    return [JobSpec(t=t, n=n, f=f, c=c) for t in range(f * n)]
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ import pytest
 
 from cliquefarm.cli import main
 from cliquefarm.core import mc
-from cliquefarm.distkernel import BranchAddress, JobSpec, all_jobs, job_membership, mc_dist
+from cliquefarm.distkernel import JobSpec, job_membership, mc_dist
 from cliquefarm.graph import (
     brute_force_omega,
     degree_sort,
@@ -40,6 +40,8 @@ from cliquefarm.jobqueue import (
     update_best,
 )
 from cliquefarm.report import build_report
+
+from conftest import all_jobs
 
 HARD_N, HARD_P, HARD_SEED = 150, 0.9, 7
 
@@ -84,7 +86,7 @@ def farm_run(tmp_path_factory) -> FarmRun:
     seq_seconds = time.monotonic() - t0
 
     queue_root = base / "queue"
-    init_queue(queue_root, graph_path.name, n=g.n, f=8)
+    init_queue(queue_root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
     workers = [
         start_worker(graph_path, queue_root, f"w{i}", seed=i) for i in range(8)
     ]
@@ -139,9 +141,7 @@ class TestCriterion2Partition:
             specs = all_jobs(n, f)
             for first in range(n):
                 for second in range(3 * f):
-                    owners = sum(
-                        job_membership(s, BranchAddress(first, second)) for s in specs
-                    )
+                    owners = sum(job_membership(s, first, second) for s in specs)
                     assert owners == 1, (n, f, first, second)
         report("2", "every depth-2 address owned by exactly one job id")
 
@@ -187,7 +187,7 @@ class TestCriterion5FaultTolerance:
         queue_root = tmp_path / "queue"
         graph_path = farm_run.graph_path
         g = load_dimacs(graph_path)
-        init_queue(queue_root, graph_path.name, n=g.n, f=8)
+        init_queue(queue_root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         # default read-at-start policy keeps early jobs long enough to kill into
         workers = [
             start_worker(graph_path, queue_root, f"w{i}", seed=10 + i, reread="never")
@@ -248,7 +248,7 @@ class TestCriterion6LockProtocol:
         import multiprocessing as mp
 
         root = tmp_path / "q"
-        layout = init_queue(root, "toy", n=2, f=8)
+        layout = init_queue(root, "toy", n=2, f=8, fingerprint="toy")
         rng = random.Random(42)
         all_values = []
         procs = []
@@ -274,7 +274,7 @@ class TestCriterion6LockProtocol:
         # 100 trials of full contention: 4 claimers racing over 8 jobs
         for trial in range(100):
             root = tmp_path / f"q{trial}"
-            init_queue(root, "toy", n=1, f=8)
+            init_queue(root, "toy", n=1, f=8, fingerprint="toy")
             out = mp.Queue()
             procs = [
                 mp.Process(target=_stress_claimer, args=(root, out)) for _ in range(4)
@@ -311,7 +311,7 @@ class TestCriterion7SpeedupSanity:
             graph_path = tmp_path / "speedup.clq"
             graph_path.write_text(to_dimacs(g))
             queue_root = tmp_path / "queue"
-            init_queue(queue_root, graph_path.name, n=g.n, f=8)
+            init_queue(queue_root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
             workers = [
                 start_worker(graph_path, queue_root, f"w{i}", seed=i) for i in range(8)
             ]

@@ -113,6 +113,20 @@ class TestQueueCommands:
         assert "error:" in err
         assert not q.exists()
 
+    def test_work_refuses_another_graph_with_same_n(self, tmp_path, capsys):
+        from cliquefarm.graph import generate_gnp
+
+        made_for = write_graph(tmp_path, generate_gnp(30, 0.5, 1), name="a.clq")
+        other = write_graph(tmp_path, generate_gnp(30, 0.9, 2), name="b.clq")
+        q = tmp_path / "q"
+        run_cli(capsys, "init", "--graph", made_for, "--queue", q)
+        code, _, err = run_cli(
+            capsys, "work", "--graph", other, "--queue", q, "--id", "w0"
+        )
+        assert code == 1
+        assert "error:" in err
+        assert os.listdir(q / "results") == []
+
     def test_split_factor_flag(self, tmp_path, capsys):
         g = write_graph(tmp_path, cycle_graph(6))
         code, out, _ = run_cli(

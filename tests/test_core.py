@@ -107,7 +107,7 @@ class TestColourSort:
                     (i, j)
                     for i in range(len(subset))
                     for j in range(i + 1, len(subset))
-                    if g.adjacent(subset[i], subset[j])
+                    if g.adj[subset[i]] >> subset[j] & 1
                 ],
             )
             assert colours[-1] >= brute_force_omega(induced)[0]

@@ -2,16 +2,10 @@ import pytest
 
 from cliquefarm import distkernel
 from cliquefarm.core import mc
-from cliquefarm.distkernel import (
-    BranchAddress,
-    JobSpec,
-    all_jobs,
-    job_membership,
-    mc_dist,
-)
+from cliquefarm.distkernel import JobSpec, job_membership, mc_dist
 from cliquefarm.graph import degree_sort, generate_gnp, is_clique
 
-from conftest import complete_graph, cycle_graph
+from conftest import all_jobs, complete_graph, cycle_graph
 
 
 class TestJobSpec:
@@ -35,15 +29,15 @@ class TestJobMembership:
     def test_t_zero(self):
         spec = JobSpec(t=0, n=10, f=8)
         for second in (0, 8, 16):
-            assert job_membership(spec, BranchAddress(0, second))
-        assert not job_membership(spec, BranchAddress(0, 1))
-        assert not job_membership(spec, BranchAddress(1, 0))
+            assert job_membership(spec, 0, second)
+        assert not job_membership(spec, 0, 1)
+        assert not job_membership(spec, 1, 0)
 
     def test_t_thirteen(self):
         spec = JobSpec(t=13, n=10, f=8)
-        assert job_membership(spec, BranchAddress(3, 1))
-        assert job_membership(spec, BranchAddress(3, 9))
-        assert not job_membership(spec, BranchAddress(3, 2))
+        assert job_membership(spec, 3, 1)
+        assert job_membership(spec, 3, 9)
+        assert not job_membership(spec, 3, 2)
 
     def test_every_address_covered_exactly_once(self):
         n, f = 10, 8
@@ -51,7 +45,7 @@ class TestJobMembership:
         for first in range(n):
             for second in range(24):
                 owners = [
-                    s.t for s in specs if job_membership(s, BranchAddress(first, second))
+                    s.t for s in specs if job_membership(s, first, second)
                 ]
                 assert len(owners) == 1, (first, second, owners)
 
@@ -59,80 +53,75 @@ class TestJobMembership:
 class TestMcDist:
     def test_bound_saturation_returns_empty(self, c5):
         for spec in all_jobs(5, c=10):
-            clique, _ = mc_dist(c5, spec)
+            clique, _ = mc_dist(c5, spec, degree_sort(c5))
             assert clique == []
 
     def test_k5_single_covering_job(self, k5):
         # root stack is [0..4]; first pop is vertex 4 with label 4, its depth-1
         # stack is [0..3] whose first pop has label 3, so t = 3*5 + 4 covers the
         # branch that contains the whole 5-clique
-        clique, _ = mc_dist(k5, JobSpec(t=19, n=5, f=8))
+        clique, _ = mc_dist(k5, JobSpec(t=19, n=5, f=8), degree_sort(k5))
         assert len(clique) == 5
 
     def test_union_over_jobs_equals_mc(self):
         g = generate_gnp(25, 0.5, 3)
         want, _ = mc(g)
-        sizes = [len(mc_dist(g, spec)[0]) for spec in all_jobs(g.n)]
+        sizes = [len(mc_dist(g, spec, degree_sort(g))[0]) for spec in all_jobs(g.n)]
         assert max(sizes) == len(want)
 
     def test_wrong_graph_size_rejected(self, k5):
         with pytest.raises(ValueError, match="n=10"):
-            mc_dist(k5, JobSpec(t=0, n=10))
+            mc_dist(k5, JobSpec(t=0, n=10), degree_sort(k5))
 
     def test_bound_injection_soundness(self):
         g = generate_gnp(20, 0.6, 9)
         omega = len(mc(g)[0])
+        order = degree_sort(g)
         for c in range(omega):
-            best = max(len(mc_dist(g, spec)[0]) for spec in all_jobs(g.n, c=c))
+            best = max(len(mc_dist(g, spec, order)[0]) for spec in all_jobs(g.n, c=c))
             assert best == omega
         for spec in all_jobs(g.n, c=omega):
-            assert mc_dist(g, spec)[0] == []
+            assert mc_dist(g, spec, order)[0] == []
 
     def test_empty_cover_terminates(self):
         # a bound so high that every branch is cut immediately still terminates
         g = generate_gnp(15, 0.3, 1)
-        clique, ctx = mc_dist(g, JobSpec(t=0, n=15, c=100))
+        clique, ctx = mc_dist(g, JobSpec(t=0, n=15, c=100), degree_sort(g))
         assert clique == []
         assert ctx.nodes >= 1
 
     def test_witnesses_are_cliques(self):
         g = generate_gnp(20, 0.7, 4)
         for spec in all_jobs(g.n)[:40]:
-            clique, _ = mc_dist(g, spec)
+            clique, _ = mc_dist(g, spec, degree_sort(g))
             assert is_clique(g, clique)
-
-    def test_precomputed_order_matches(self):
-        g = generate_gnp(20, 0.5, 8)
-        order = degree_sort(g)
-        for t in (0, 7, 55):
-            spec = JobSpec(t=t, n=g.n)
-            assert mc_dist(g, spec) == mc_dist(g, spec, order=order)
 
     def test_refresher_can_tighten_bound(self, k5):
         # a refresher that raises the bound to 5 prevents any improvement
         def refresh(ctx):
             ctx.best_size = max(ctx.best_size, 5)
 
-        clique, _ = mc_dist(k5, JobSpec(t=19, n=5), refresher=refresh)
+        clique, _ = mc_dist(k5, JobSpec(t=19, n=5), degree_sort(k5), refresher=refresh)
         assert clique == []
 
     def test_depth2_filter_is_job_membership(self, k5, monkeypatch):
         seen = []
 
-        def membership(spec, addr):
-            seen.append(addr)
+        def membership(spec, first, second):
+            seen.append((first, second))
             return False
 
         monkeypatch.setattr(distkernel, "job_membership", membership)
-        clique, _ = mc_dist(k5, JobSpec(t=19, n=5))
+        clique, _ = mc_dist(k5, JobSpec(t=19, n=5), degree_sort(k5))
         assert clique == []
-        assert seen == [BranchAddress(4, label) for label in (3, 2, 1, 0)]
+        assert seen == [(4, label) for label in (3, 2, 1, 0)]
 
     def test_partition_completeness_several_graphs(self):
         for seed in range(5):
             g = generate_gnp(30, 0.5, seed)
             omega = len(mc(g)[0])
-            best = max(len(mc_dist(g, spec)[0]) for spec in all_jobs(g.n))
+            order = degree_sort(g)
+            best = max(len(mc_dist(g, spec, order)[0]) for spec in all_jobs(g.n))
             assert best == omega
 
     @pytest.mark.parametrize(

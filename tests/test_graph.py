@@ -33,7 +33,7 @@ class TestParseDimacs:
 
     def test_comments_ignored(self):
         g = parse_dimacs("c hello\nc world\np edge 2 1\ne 1 2")
-        assert g.adjacent(0, 1)
+        assert g.adj[0] >> 1 & 1
 
     def test_missing_p_line(self):
         with pytest.raises(DimacsParseError, match="missing p line"):
@@ -82,6 +82,20 @@ class TestRoundTrip:
         assert parse_dimacs(text) == complete_graph(3)
 
 
+class TestFingerprint:
+    def test_equal_graphs_equal_prints(self):
+        g = generate_gnp(40, 0.3, 5)
+        assert parse_dimacs(to_dimacs(g)).fingerprint() == g.fingerprint()
+
+    def test_same_n_other_edges_differ(self):
+        sparse, dense = generate_gnp(30, 0.5, 1), generate_gnp(30, 0.9, 2)
+        assert sparse.fingerprint() != dense.fingerprint()
+        assert path_graph(4).fingerprint() != star_graph(3).fingerprint()
+
+    def test_isolated_vertex_counts(self):
+        assert Graph(3, [(0, 1)]).fingerprint() != Graph(4, [(0, 1)]).fingerprint()
+
+
 class TestGenerateGnp:
     def test_p_zero_empty(self):
         g = generate_gnp(5, 0.0, 123)
@@ -116,7 +130,7 @@ class TestGenerateGnp:
             assert g.degree[v] == g.adj[v].bit_count()
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                assert g.adjacent(u, v) == g.adjacent(v, u)
+                assert g.adj[u] >> v & 1 == g.adj[v] >> u & 1
 
 
 class TestDegreeSort:

@@ -13,6 +13,8 @@ import dataclasses
 import importlib
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,22 @@ def test_module_level_function(module, name):
     assert fn.__module__ == mod.__name__, f"{module}.{name} is defined elsewhere"
 
 
+def test_package_import_loads_every_layer():
+    # launch.py imports the package, then looks each layer up in sys.modules
+    import cliquefarm
+
+    src = os.path.dirname(os.path.dirname(cliquefarm.__file__))
+    code = (
+        "import sys, cliquefarm; "
+        f"print([m for m in {sorted(FUNCTIONS)!r} if 'cliquefarm.' + m not in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"  # layers the package import left unloaded
+
+
 def test_mc_dist_accepts_order():
     from cliquefarm.distkernel import mc_dist
 
@@ -60,7 +78,7 @@ def test_jobspec_fields():
 def test_claim_job_returns_int_ids_then_none(tmp_path):
     from cliquefarm import jobqueue
 
-    layout = jobqueue.init_queue(tmp_path / "q", "toy", n=1, f=3)
+    layout = jobqueue.init_queue(tmp_path / "q", "toy", n=1, f=3, fingerprint="toy")
     jobs = iter(jobqueue.claim_order(3, 0))
     claimed = [jobqueue.claim_job(layout, jobs) for _ in range(3)]
     assert all(type(t) is int for t in claimed)
@@ -71,7 +89,7 @@ def test_claim_job_returns_int_ids_then_none(tmp_path):
 def test_drained_queue_keeps_pending_shard_dirs(tmp_path):
     from cliquefarm import jobqueue
 
-    layout = jobqueue.init_queue(tmp_path / "q", "toy", n=2, f=8)
+    layout = jobqueue.init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
     while jobqueue.claim_job(layout, range(16)) is not None:
         pass
     names = sorted(os.listdir(layout.pending_dir))

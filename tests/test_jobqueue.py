@@ -53,7 +53,7 @@ class TestSharding:
 
 class TestInit:
     def test_layout_and_job_count(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=450, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=450, f=8, fingerprint="toy")
         files = [
             name
             for shard in SHARDS
@@ -65,7 +65,7 @@ class TestInit:
         assert (meta.graph, meta.n, meta.f) == ("toy", 450, 8)
 
     def test_tiny_queue(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
         found = sorted(
             int(name)
             for shard in SHARDS
@@ -74,16 +74,16 @@ class TestInit:
         assert found == list(range(8))
 
     def test_jobs_land_in_their_shard(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=30, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=30, f=8, fingerprint="toy")
         assert (layout.shard_dir("34") / "134").exists()
         assert (layout.shard_dir("07") / "7").exists()
 
     def test_no_lock_files_in_pending(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=30, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=30, f=8, fingerprint="toy")
         assert list(layout.pending_dir.rglob("*.lock")) == []
 
     def test_non_ascii_meta_is_queue_error(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=5, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=5, f=8, fingerprint="toy")
         layout.meta_path.write_bytes(b"graph=g\xe9.clq\nn=5\nf=8\n")
         with pytest.raises(QueueError, match="bad meta"):
             read_meta(layout)
@@ -93,7 +93,7 @@ class TestInit:
         root.mkdir()
         (root / "junk").touch()
         with pytest.raises(QueueError, match="not empty"):
-            init_queue(root, "toy", n=5, f=8)
+            init_queue(root, "toy", n=5, f=8, fingerprint="toy")
 
     def test_open_requires_meta(self, tmp_path):
         with pytest.raises(QueueError, match="no meta"):
@@ -102,12 +102,12 @@ class TestInit:
 
 class TestClaim:
     def test_empty_queue_returns_none(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=1)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=1, fingerprint="toy")
         assert claim_job(layout, range(1)) == 0
         assert claim_job(layout, range(1)) is None
 
     def test_single_job_moves_to_running(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
         # delete everything except job 5 so it is the only claimable job
         for t in range(8):
             if t != 5:
@@ -118,7 +118,7 @@ class TestClaim:
         assert pending == 0
 
     def test_lost_race_moves_to_next_id(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
         assert claim_job(layout, [3]) == 3
         jobs = iter([3, 5, 6])
         assert claim_job(layout, jobs) == 5
@@ -126,7 +126,7 @@ class TestClaim:
         assert claim_job(layout, jobs) is None
 
     def test_claim_takes_no_lock_and_lists_nothing(self, tmp_path, monkeypatch):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
 
         def forbidden(*args, **kwargs):
             raise AssertionError("claim_job must not lock or list")
@@ -136,7 +136,7 @@ class TestClaim:
         assert claim_job(layout, range(8)) == 0
 
     def test_conservation(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=4, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=4, f=8, fingerprint="toy")
         claimed = []
         for _ in range(10):
             claimed.append(claim_job(layout, range(32)))
@@ -166,11 +166,13 @@ def _first_shard_smallest_id_order(job_count, seed):
 
 
 def test_pending_jobs_are_what_a_claim_can_take(tmp_path):
-    layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+    layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
     assert claim_job(layout, [3]) == 3
-    for stray in ("00/.nfs0003", "03/03", "04/3"):  # no claim moves these
+    assert claim_job(layout, [7]) == 7
+    # no claim moves these: not a job id, wrong shard, not canonical
+    for stray in ("00/.nfs0003", "04/3", "03/03", "07/07", "03/\u0663"):
         (layout.pending_dir / stray).touch()
-    assert pending_jobs(layout) == {0, 1, 2, 4, 5, 6, 7}
+    assert pending_jobs(layout) == {0, 1, 2, 4, 5, 6}
 
 
 class TestClaimOrder:
@@ -181,7 +183,7 @@ class TestClaimOrder:
         expected = _first_shard_smallest_id_order(f * n, seed)
         assert sorted(expected) == list(range(f * n))
         assert claim_order(f * n, seed) == expected
-        layout = init_queue(tmp_path / "q", "toy", n=n, f=f)
+        layout = init_queue(tmp_path / "q", "toy", n=n, f=f, fingerprint="toy")
         jobs = iter(claim_order(f * n, seed))
         drained = []
         while (t := claim_job(layout, jobs)) is not None:
@@ -199,7 +201,7 @@ class TestClaimRace:
         # repeat the race; exactly one claimer may win each time
         for trial in range(20):
             root = tmp_path / f"q{trial}"
-            layout = init_queue(root, "toy", n=1, f=1)
+            layout = init_queue(root, "toy", n=1, f=1, fingerprint="toy")
             out = mp.Queue()
             procs = [mp.Process(target=_claim_one, args=(root, out)) for _ in range(2)]
             for p in procs:
@@ -212,23 +214,23 @@ class TestClaimRace:
 
 class TestBest:
     def test_fresh_queue_reads_zero(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         assert read_best(layout) == 0
 
     def test_update_and_read(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         assert update_best(layout, 27) == (True, 27)
         assert read_best(layout) == 27
 
     def test_non_improving_rejected(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         update_best(layout, 10)
         assert update_best(layout, 8) == (False, 10)
         assert update_best(layout, 10) == (False, 10)  # ties rejected too
         assert update_best(layout, 12) == (True, 12)
 
     def test_log_records_accepted_writes(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         for v in (3, 1, 5, 5, 9):
             update_best(layout, v)
         assert read_best_log(layout) == [3, 5, 9]
@@ -238,7 +240,7 @@ class TestBest:
         from cliquefarm.jobqueue import locked
 
         root = tmp_path / "q"
-        layout = init_queue(root, "toy", n=2, f=8)
+        layout = init_queue(root, "toy", n=2, f=8, fingerprint="toy")
         update_best(layout, 7)
         out = mp.Queue()
 
@@ -255,7 +257,7 @@ class TestBest:
         assert values == [7] * 8
 
     def test_corrupt_best_is_hard_error(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         layout.best_path.write_text("not a number\n")
         with pytest.raises(QueueError, match="corrupt"):
             read_best(layout)
@@ -266,7 +268,7 @@ class TestBest:
     def test_corrupt_best_fails_update_in_either_phase(
         self, tmp_path, monkeypatch, phase, raw
     ):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         layout.best_path.write_bytes(raw)
         if phase == "exclusive":
             # the file turns corrupt after a shared-lock read saw a good value:
@@ -276,7 +278,7 @@ class TestBest:
             update_best(layout, 3)
 
     def test_update_locks_best_once_exclusively(self, tmp_path, monkeypatch):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         real_locked = jobqueue.locked
         taken = []
 
@@ -290,7 +292,7 @@ class TestBest:
         assert taken == [(layout.best_lock, True)] * 2
 
     def test_failed_replace_keeps_old_best(self, tmp_path, monkeypatch):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         update_best(layout, 4)
 
         def fail(src, dst):
@@ -315,7 +317,7 @@ class TestBestConcurrency:
         import random
 
         root = tmp_path / "q"
-        layout = init_queue(root, "toy", n=2, f=8)
+        layout = init_queue(root, "toy", n=2, f=8, fingerprint="toy")
         rng = random.Random(0)
         all_values = []
         procs = []
@@ -335,7 +337,7 @@ class TestBestConcurrency:
 
 class TestPublish:
     def test_publish_then_collect(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
         t = claim_job(layout, range(8))
         publish_result(layout, make_record(t=t))
         assert os.listdir(layout.running_dir) == []
@@ -343,7 +345,7 @@ class TestPublish:
 
     def test_requeued_live_job_published_twice_keeps_first(self, tmp_path):
         # requeue on a job still running lets a second worker run it too
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
         t = claim_job(layout, range(8))
         old = time.time() - 120
         os.utime(layout.running_dir / str(t), (old, old))
@@ -352,11 +354,11 @@ class TestPublish:
         publish_result(layout, make_record(t=t, worker="first"))
         publish_result(layout, make_record(t=t, worker="second"))
         assert os.listdir(layout.running_dir) == []
-        summary = collect_results(layout, expected_count=1)
+        summary = collect_results(layout)
         assert [r.worker for r in summary.records] == ["first"]
 
     def test_publish_losing_the_rename_keeps_first(self, tmp_path, monkeypatch):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
         t = claim_job(layout, range(8))
         real_rename = os.rename
 
@@ -369,11 +371,11 @@ class TestPublish:
         monkeypatch.setattr(os, "rename", other_worker_publishes_first)
         publish_result(layout, make_record(t=t, worker="second"))
         monkeypatch.undo()
-        summary = collect_results(layout, expected_count=1)
+        summary = collect_results(layout)
         assert [r.worker for r in summary.records] == ["first"]
 
     def test_publish_unclaimed_errors(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=1, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
         with pytest.raises(QueueError):
             publish_result(layout, make_record(t=3))
 
@@ -413,16 +415,16 @@ class TestPublish:
 
 class TestRequeue:
     def test_nothing_running(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         assert requeue_stale(layout, 1) == []
 
     def test_fresh_job_within_grace(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         claim_job(layout, range(16))
         assert requeue_stale(layout, 60) == []
 
     def test_stale_job_goes_home(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         t = claim_job(layout, range(16))
         old = time.time() - 120
         os.utime(layout.running_dir / str(t), (old, old))
@@ -430,7 +432,7 @@ class TestRequeue:
         assert (layout.shard_dir(shard_of(t)) / str(t)).exists()
 
     def test_publish_between_stat_and_rename_is_skipped(self, tmp_path, monkeypatch):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         jobs = iter(range(16))
         stale = {claim_job(layout, jobs), claim_job(layout, jobs)}
         old = time.time() - 120
@@ -449,27 +451,30 @@ class TestRequeue:
         moved = requeue_stale(layout, 60)
         monkeypatch.undo()
         assert moved == sorted(stale - set(published))
-        assert collect_results(layout, expected_count=16).records[0].t == published[0]
+        assert collect_results(layout).records[0].t == published[0]
 
     def test_grace_must_be_positive(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         with pytest.raises(QueueError):
             requeue_stale(layout, 0)
 
 
 @pytest.mark.parametrize("where", ["pending", "running", "results"])
 def test_stray_names_are_not_jobs(tmp_path, where):
-    # e.g. an NFS silly-rename file; old enough that requeue would move a job
-    layout = init_queue(tmp_path / "q", "toy", n=1, f=1)
+    # an NFS silly-rename file, and names int() reads as a job id that are
+    # not its canonical name (leading zero, Arabic-Indic three); all old
+    # enough that requeue would move a job
+    layout = init_queue(tmp_path / "q", "toy", n=1, f=1, fingerprint="toy")
     directory = {
         "pending": layout.shard_dir("00"),
         "running": layout.running_dir,
         "results": layout.results_dir,
     }[where]
-    stray = directory / ".nfs0002"
-    stray.write_text("x")
+    strays = [directory / name for name in (".nfs0002", "07", "\u0663")]
     old = time.time() - 120
-    os.utime(stray, (old, old))
+    for stray in strays:
+        stray.write_text("x")
+        os.utime(stray, (old, old))
     assert claim_job(layout, range(1)) == 0
     assert claim_job(layout, range(1)) is None
     os.utime(layout.running_dir / "0", (old, old))
@@ -479,7 +484,7 @@ def test_stray_names_are_not_jobs(tmp_path, where):
     summary = collect_results(layout)
     assert summary.complete
     assert summary.errors == []
-    assert stray.exists()
+    assert all(stray.exists() for stray in strays)
 
 
 class TestCollect:
@@ -494,28 +499,28 @@ class TestCollect:
             )
 
     def test_all_present(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         self._publish_all(layout, 16)
         summary = collect_results(layout)
         assert summary.complete
         assert summary.missing == []
 
     def test_one_missing_is_named(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         self._publish_all(layout, 15)
         summary = collect_results(layout)
         assert not summary.complete
         assert len(summary.missing) == 1
 
     def test_best_prefers_max_omega_lowest_t(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         self._publish_all(layout, 16, omega_of=lambda t: 4 if t in (5, 9) else 0)
         summary = collect_results(layout)
         assert summary.best_omega == 4
         assert summary.best_clique == [1, 2, 3, 4]
 
     def test_unparseable_record_reported_not_fatal(self, tmp_path):
-        layout = init_queue(tmp_path / "q", "toy", n=2, f=8)
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         self._publish_all(layout, 16)
         (layout.results_dir / "3").write_text("garbage\n")
         summary = collect_results(layout)

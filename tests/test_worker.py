@@ -7,7 +7,7 @@ import pytest
 
 from cliquefarm import worker
 from cliquefarm.core import mc
-from cliquefarm.graph import generate_gnp, to_dimacs
+from cliquefarm.graph import degree_sort, generate_gnp, to_dimacs
 from cliquefarm.jobqueue import (
     QueueError,
     claim_job,
@@ -15,6 +15,7 @@ from cliquefarm.jobqueue import (
     collect_results,
     init_queue,
     open_queue,
+    pending_jobs,
     read_best,
     requeue_stale,
 )
@@ -31,18 +32,18 @@ def write_graph(tmp_path, g, name="g.clq"):
 
 class TestRunJob:
     def test_bound_saturation(self, k5):
-        record = run_job(k5, t=19, c=5, worker_id="w", f=8)
+        record = run_job(k5, t=19, c=5, worker_id="w", f=8, order=degree_sort(k5))
         assert record.omega == 0
         assert record.clique == []
 
     def test_covering_job_finds_k5(self, k5):
-        record = run_job(k5, t=19, c=0, worker_id="w", f=8)
+        record = run_job(k5, t=19, c=0, worker_id="w", f=8, order=degree_sort(k5))
         assert record.omega == 5
         assert record.clique == [1, 2, 3, 4, 5]
 
     def test_counters_always_positive(self, k5):
         for t in range(40):
-            record = run_job(k5, t=t, c=0, worker_id="w", f=8)
+            record = run_job(k5, t=t, c=0, worker_id="w", f=8, order=degree_sort(k5))
             assert record.wall_ms > 0
             assert record.nodes >= 1
             assert record.finished_unix_ms >= record.started_unix_ms
@@ -68,7 +69,7 @@ class TestWorkerLoop:
         g = generate_gnp(25, 0.5, 1)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
-        init_queue(root, graph_path.name, n=g.n, f=8)
+        init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         log = io.StringIO()
         summary = worker_loop(
             WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
@@ -88,7 +89,7 @@ class TestWorkerLoop:
         g = complete_graph(3)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
-        layout = init_queue(root, graph_path.name, n=3, f=1)
+        layout = init_queue(root, graph_path.name, n=3, f=1, fingerprint=g.fingerprint())
         while claim_job(layout, range(3)) is not None:
             pass
         summary = worker_loop(
@@ -100,7 +101,7 @@ class TestWorkerLoop:
         g = generate_gnp(12, 0.5, 2)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
-        layout = init_queue(root, graph_path.name, n=g.n, f=8)
+        layout = init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         # the worker's first pick is already taken, so its cursor passes it by
         first = claim_order(8 * g.n, 0)[0]
         assert claim_job(layout, [first]) == first
@@ -126,7 +127,7 @@ class TestWorkerLoop:
         g = generate_gnp(12, 0.5, 2)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
-        layout = init_queue(root, graph_path.name, n=g.n, f=2)
+        layout = init_queue(root, graph_path.name, n=g.n, f=2, fingerprint=g.fingerprint())
         real_rename = os.rename
         from_pending = []
 
@@ -146,7 +147,7 @@ class TestWorkerLoop:
         g = generate_gnp(12, 0.5, 2)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
-        layout = init_queue(root, graph_path.name, n=g.n, f=8)
+        layout = init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         real_run_job = worker.run_job
         requeued = []
 
@@ -173,17 +174,47 @@ class TestWorkerLoop:
     def test_graph_meta_mismatch_refused(self, tmp_path):
         graph_path = write_graph(tmp_path, complete_graph(4))
         root = tmp_path / "q"
-        init_queue(root, graph_path.name, n=9, f=8)
+        init_queue(
+            root, graph_path.name, n=9, f=8, fingerprint=complete_graph(9).fingerprint()
+        )
         with pytest.raises(QueueError, match="n=9"):
             worker_loop(
                 WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
             )
 
+    def test_other_graph_with_same_n_refused_before_any_claim(self, tmp_path):
+        made_for = generate_gnp(30, 0.5, 1)
+        other = generate_gnp(30, 0.9, 2)
+        root = tmp_path / "q"
+        layout = init_queue(root, "a.clq", n=30, f=8, fingerprint=made_for.fingerprint())
+        with pytest.raises(QueueError, match="another graph"):
+            worker_loop(
+                WorkerConfig(
+                    worker_id="w0",
+                    graph_path=write_graph(tmp_path, other),
+                    queue_root=root,
+                )
+            )
+        assert os.listdir(layout.running_dir) == []
+        assert len(pending_jobs(layout)) == 8 * 30
+
+    def test_meta_without_fingerprint_refused(self, tmp_path):
+        g = generate_gnp(12, 0.5, 2)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        layout = init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
+        layout.meta_path.write_text(f"graph={graph_path.name}\nn={g.n}\nf=8\n")
+        with pytest.raises(QueueError, match="fingerprint missing"):
+            worker_loop(
+                WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
+            )
+        assert os.listdir(layout.running_dir) == []
+
     def test_two_sequential_workers_partition_jobs(self, tmp_path):
         g = generate_gnp(12, 0.5, 2)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
-        init_queue(root, graph_path.name, n=g.n, f=8)
+        init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
 
         # claim half the queue into a second "worker" by hand, then drain both
         layout = open_queue(root)
@@ -201,7 +232,7 @@ class TestWorkerLoop:
         g = generate_gnp(20, 0.5, 3)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
-        init_queue(root, graph_path.name, n=g.n, f=8)
+        init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         summary = worker_loop(
             WorkerConfig(
                 worker_id="w0",
