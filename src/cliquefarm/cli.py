@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -146,8 +147,11 @@ def cmd_work(args) -> int:
         try:
             interval = float(args.reread_best)
         except ValueError:
+            interval = math.nan  # refused below, with 0, negatives and inf
+        if not (math.isfinite(interval) and interval > 0):
             print(
-                f"error: --reread-best must be 'never' or seconds, got {args.reread_best!r}",
+                "error: --reread-best must be 'never' or a finite positive number "
+                f"of seconds, got {args.reread_best!r}",
                 file=sys.stderr,
             )
             return 1

@@ -6,6 +6,10 @@ branch labelled t mod n, and within it only into depth-2 branches whose
 label is congruent to floor(t / n) modulo the split factor f. Every depth-2
 address is therefore covered by exactly one job, and running all f*n jobs
 is equivalent to the sequential search.
+
+The root's colouring depends on the graph alone, so it is built once
+(colour_root) and shared by every job on that graph: a job pays only for
+its own depth-1 subtree.
 """
 
 from __future__ import annotations
@@ -53,29 +57,61 @@ def job_membership(spec: JobSpec, first: int, second: int) -> bool:
     return first == spec.first_level and second % spec.f == spec.second_level_residue
 
 
+@dataclass(frozen=True)
+class Root:
+    """The root node of the search, coloured as core.expand colours it.
+
+    stack and colours are colour_sort(order, g); label[v] is the position
+    of vertex v in stack (its depth-1 branch label) and rank[v] its
+    position in order.
+    """
+
+    stack: list[int]
+    colours: list[int]
+    label: list[int]
+    rank: list[int]
+
+
+def colour_root(g: Graph, order: list[int]) -> Root:
+    """Colour the root once; every job on g with this order can share it."""
+    stack, colours = colour_sort(order, g)
+    label = [0] * g.n
+    for i, v in enumerate(stack):
+        label[v] = i
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    return Root(stack, colours, label, rank)
+
+
 def mc_dist(
     g: Graph,
     spec: JobSpec,
     order: list[int],
     refresher: BoundRefresher | None = None,
+    root: Root | None = None,
 ) -> tuple[list[int], SearchContext]:
     """Run one job; returns ([] if nothing beats spec.c, else clique, stats).
 
     `order` must be degree_sort(g), the sequential search's ordering, so
     that branch labels agree across all jobs; workers compute it once per
-    graph. The root is coloured as in core.expand; if the colour of the
-    job's depth-1 branch beats spec.c, the search descends into that branch
-    alone and core.expand filters its depth-2 branches through
-    job_membership. `refresher`, when given, runs before each depth-2 branch
-    of that depth-1 node and may raise ctx.best_size (periodic re-read of a
-    shared incumbent).
+    graph. `root` is colour_root(g, order), shared by every job on g;
+    workers build it once next to `order`, and it is built here when not
+    given. If the colour of the job's depth-1 branch beats spec.c, the
+    search descends into that branch alone and core.expand filters its
+    depth-2 branches through job_membership. `refresher`, when given, runs
+    before each depth-2 branch of that depth-1 node and may raise
+    ctx.best_size (periodic re-read of a shared incumbent).
     """
     if spec.n != g.n:
         raise ValueError(f"job is for n={spec.n} but graph has n={g.n}")
+    if root is None:
+        root = colour_root(g, order)
+    elif len(root.stack) != g.n:
+        raise ValueError(f"root has {len(root.stack)} vertices but graph has n={g.n}")
     ctx = SearchContext(best_size=spec.c, nodes=1)  # the root
-    stack, colours = colour_sort(order, g)
     first = spec.first_level
-    if colours[first] <= spec.c:
+    if root.colours[first] <= spec.c:
         return [], ctx
 
     def keep(label: int, ctx: SearchContext) -> bool:
@@ -83,10 +119,18 @@ def mc_dist(
             refresher(ctx)
         return job_membership(spec, first, label)
 
-    v = stack[first]
+    v = root.stack[first]
+    # v's neighbours still unpopped at the root (label below first), as in order
+    label = root.label
+    p1 = []
     av = g.adj[v]
-    popped = set(stack[first + 1:])  # the depth-1 branches before this one
-    p1 = [w for w in order if av >> w & 1 and w not in popped]
+    while av:
+        low = av & -av
+        w = low.bit_length() - 1
+        if label[w] < first:
+            p1.append(w)
+        av ^= low
+    p1.sort(key=root.rank.__getitem__)
     if p1:
         expand([v], p1, ctx, g, keep)
     elif spec.c == 0:

@@ -44,8 +44,9 @@ def build_report(
 ) -> RunReport:
     """Aggregate job records into the three report series.
 
-    Rejects empty input and overlapping jobs on a single worker (one worker
-    is one single-threaded process, so overlap means corrupt data).
+    Rejects empty input, a baseline that is not positive, and overlapping
+    jobs on a single worker (one worker is one single-threaded process, so
+    overlap means corrupt data).
     """
     if not records:
         raise ReportError("no records to report on")
@@ -84,6 +85,8 @@ def build_report(
     makespan_ms = last.finished_unix_ms - first.started_unix_ms
     speedup = None
     if baseline_wall_ms is not None:
+        if baseline_wall_ms <= 0:
+            raise ReportError(f"baseline wall time must be positive, got {baseline_wall_ms} ms")
         if makespan_ms <= 0:
             raise ReportError("cannot compute speedup: zero makespan")
         speedup = baseline_wall_ms / makespan_ms

@@ -6,13 +6,14 @@ several workers at the same queue root.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import jobqueue
-from .distkernel import JobSpec, mc_dist
+from . import distkernel, jobqueue
+from .distkernel import JobSpec, Root, mc_dist
 from .graph import Graph, degree_sort, load_dimacs
 from .jobqueue import JobResultRecord, QueueError, QueueLayout
 
@@ -28,8 +29,9 @@ class WorkerConfig:
     def __post_init__(self) -> None:
         if not self.worker_id:
             raise ValueError("worker id must be non-empty")
-        if self.reread_best_seconds is not None and self.reread_best_seconds <= 0:
-            raise ValueError("re-read interval must be positive")
+        interval = self.reread_best_seconds
+        if interval is not None and not (math.isfinite(interval) and interval > 0):
+            raise ValueError(f"re-read interval must be finite and positive, got {interval}")
 
 
 @dataclass
@@ -48,16 +50,18 @@ def run_job(
     order: list[int],
     refresher=None,
     not_before_unix_ms: int = 0,
+    root: Root | None = None,
 ) -> JobResultRecord:
     """Run one job against incumbent c and package the result.
 
+    root is distkernel.colour_root(g, order), shared by every job on g.
     not_before_unix_ms clamps the start timestamp so consecutive jobs from
     one (serial) worker stay monotone despite wall-clock jitter.
     """
     spec = JobSpec(t=t, n=g.n, f=f, c=c)
     started = max(int(time.time() * 1000), not_before_unix_ms)
     t0 = time.monotonic()
-    clique, ctx = mc_dist(g, spec, order=order, refresher=refresher)
+    clique, ctx = mc_dist(g, spec, order=order, refresher=refresher, root=root)
     wall_ms = max(1, int((time.monotonic() - t0) * 1000))
     finished = max(started, int(time.time() * 1000))
     omega = len(clique)
@@ -78,12 +82,13 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
 
     The graph must be the one the queue was made for: its fingerprint must
     equal meta's, or QueueError is raised before anything is claimed. The
-    graph, its degree order and the claim order are built once. The
-    first pass walks the whole claim order; each later pass walks, in that
-    order, only the jobs still in pending/ when the last pass ended, and the
-    worker exits when there are none. A job requeued while it ran and not
-    yet re-run cannot be published: it is dropped with a log line, neither
-    counted nor proposed as best, and runs again from pending/.
+    graph, its degree order, its coloured root and the claim order are
+    built once. The first pass walks the whole claim order; each later pass
+    walks, in that order, only the jobs still in pending/ when the last pass
+    ended, and the worker exits when there are none. A job requeued while
+    it ran and not yet re-run cannot be published: it is dropped with a log
+    line, neither counted nor proposed as best, and runs again from
+    pending/.
     """
     layout = jobqueue.open_queue(config.queue_root)
     meta = jobqueue.read_meta(layout)
@@ -96,6 +101,7 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
             f"{fingerprint})"
         )
     order = degree_sort(g)
+    root = distkernel.colour_root(g, order)
     claim_order = jobqueue.claim_order(meta.job_count, config.rng_seed)
     summary = WorkerSummary()
     last_finished = 0
@@ -116,6 +122,7 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
                 order=order,
                 refresher=refresher,
                 not_before_unix_ms=last_finished,
+                root=root,
             )
             last_finished = record.finished_unix_ms
             try:

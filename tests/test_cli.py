@@ -173,6 +173,22 @@ class TestQueueCommands:
         assert code == 1
         assert "reread-best" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_work_rejects_reread_not_finite_positive(self, tmp_path, capsys, value):
+        # nan would re-read best before every depth-2 branch, since
+        # `elapsed < nan` is never true; 0 and -1 once raised a traceback
+        g = write_graph(tmp_path, cycle_graph(6))
+        q = tmp_path / "q"
+        run_cli(capsys, "init", "--graph", g, "--queue", q)
+        code, out, err = run_cli(
+            capsys, "work", "--graph", g, "--queue", q, "--id", "w0",
+            "--reread-best", value,
+        )
+        assert code == 1
+        assert err.startswith("error:") and "reread-best" in err
+        assert "jobs=" not in out
+        assert os.listdir(q / "results") == []
+
     def test_work_accepts_reread_seconds(self, tmp_path, capsys):
         g = write_graph(tmp_path, cycle_graph(6))
         q = tmp_path / "q"
@@ -199,6 +215,21 @@ class TestQueueCommands:
         assert code == 0
         assert "requeued=1" in out
         assert f"ids={t}" in out
+
+    @pytest.mark.parametrize("baseline", [0, -5])
+    def test_report_rejects_non_positive_baseline(self, tmp_path, capsys, baseline):
+        g = write_graph(tmp_path, cycle_graph(6))
+        q = tmp_path / "q"
+        run_cli(capsys, "init", "--graph", g, "--queue", q)
+        run_cli(capsys, "work", "--graph", g, "--queue", q, "--id", "w0")
+        code, out, err = run_cli(
+            capsys, "report", "--queue", q, "--out", tmp_path / "rep",
+            "--baseline-wall-ms", baseline,
+        )
+        assert code == 1
+        assert err.startswith("error:") and "baseline" in err
+        assert "speedup=" not in out
+        assert not (tmp_path / "rep").exists()
 
     def test_report_without_results_fails(self, tmp_path, capsys):
         g = write_graph(tmp_path, cycle_graph(6))

@@ -1,11 +1,50 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquefarm import distkernel
 from cliquefarm.core import mc
-from cliquefarm.distkernel import JobSpec, job_membership, mc_dist
+from cliquefarm.distkernel import JobSpec, colour_root, job_membership, mc_dist
 from cliquefarm.graph import degree_sort, generate_gnp, is_clique
 
-from conftest import all_jobs, complete_graph, cycle_graph
+from conftest import all_jobs, complete_graph, cycle_graph, empty_graph
+
+GOLDEN = [(200, 0.5, 1, 8, 0, 40506), (200, 0.5, 1, 8, 10, 13079), (60, 0.9, 3, 8, 0, 7525)]
+
+
+def raising_refresher(after: int, to: int):
+    """A refresher that raises the bound to `to` on its `after`-th call, as a
+    shared incumbent found by another worker would."""
+    calls = 0
+
+    def refresh(ctx):
+        nonlocal calls
+        calls += 1
+        if calls == after:
+            ctx.best_size = max(ctx.best_size, to)
+
+    return refresh
+
+
+def assert_shared_root_changes_nothing(g):
+    """Every job, with and without a shared root, for f in {1, 3, 8} and every
+    c in [0, omega+1], and once more with a refresher raising the bound to
+    omega - 1 on its second call: equal (clique, nodes, best_size)."""
+    order = degree_sort(g)
+    root = colour_root(g, order)
+    omega = len(mc(g)[0])
+    for f in (1, 3, 8):
+        for c in range(omega + 2):
+            for spec in all_jobs(g.n, f, c):
+                runs = [mc_dist(g, spec, order, root=r) for r in (None, root)]
+                runs += [
+                    mc_dist(g, spec, order, raising_refresher(2, omega - 1), root=r)
+                    for r in (None, root)
+                ]
+                got = [(clique, ctx.nodes, ctx.best_size) for clique, ctx in runs]
+                assert got[0] == got[1] and got[2] == got[3], (f, c, spec.t)
 
 
 class TestJobSpec:
@@ -124,10 +163,7 @@ class TestMcDist:
             best = max(len(mc_dist(g, spec, order)[0]) for spec in all_jobs(g.n))
             assert best == omega
 
-    @pytest.mark.parametrize(
-        "n, p, seed, f, c, nodes",
-        [(200, 0.5, 1, 8, 0, 40506), (200, 0.5, 1, 8, 10, 13079), (60, 0.9, 3, 8, 0, 7525)],
-    )
+    @pytest.mark.parametrize("n, p, seed, f, c, nodes", GOLDEN)
     def test_golden_node_counts(self, n, p, seed, f, c, nodes):
         # pinned sum over the whole partition: any change to a job's slice,
         # its root handling or its pruning shows here
@@ -135,3 +171,53 @@ class TestMcDist:
         order = degree_sort(g)
         total = sum(mc_dist(g, spec, order=order)[1].nodes for spec in all_jobs(g.n, f, c))
         assert total == nodes
+
+    @pytest.mark.parametrize("n, p, seed, f, c, nodes", GOLDEN)
+    def test_golden_node_counts_with_shared_root(self, n, p, seed, f, c, nodes):
+        g = generate_gnp(n, p, seed)
+        order = degree_sort(g)
+        root = colour_root(g, order)
+        total = sum(
+            mc_dist(g, spec, order=order, root=root)[1].nodes
+            for spec in all_jobs(g.n, f, c)
+        )
+        assert total == nodes
+
+
+class TestSharedRoot:
+    def test_root_indexes_stack_and_order(self):
+        g = generate_gnp(30, 0.5, 2)
+        order = degree_sort(g)
+        root = colour_root(g, order)
+        assert sorted(root.stack) == list(range(g.n))
+        assert [root.label[v] for v in root.stack] == list(range(g.n))
+        assert [root.rank[v] for v in order] == list(range(g.n))
+
+    def test_root_is_frozen(self, k5):
+        root = colour_root(k5, degree_sort(k5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            root.stack = []
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            empty_graph(10),
+            complete_graph(6),
+            cycle_graph(7),
+            generate_gnp(25, 0.5, 3),
+            generate_gnp(30, 0.8, 2),
+        ],
+        ids=["empty10", "k6", "c7", "gnp25", "gnp30"],
+    )
+    def test_same_results_with_and_without_root(self, g):
+        assert_shared_root_changes_nothing(g)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 14), p=st.floats(0, 1), seed=st.integers(0, 10**6))
+    def test_same_results_with_and_without_root_random(self, n, p, seed):
+        assert_shared_root_changes_nothing(generate_gnp(n, p, seed))
+
+    def test_root_of_another_size_rejected(self, k5):
+        root = colour_root(complete_graph(6), degree_sort(complete_graph(6)))
+        with pytest.raises(ValueError, match="root has 6 vertices"):
+            mc_dist(k5, JobSpec(t=0, n=5), degree_sort(k5), root=root)

@@ -94,6 +94,11 @@ class TestBuildReport:
     def test_no_speedup_without_baseline(self, four_job_trace):
         assert build_report(four_job_trace).speedup is None
 
+    @pytest.mark.parametrize("baseline", [0, -5])
+    def test_non_positive_baseline_rejected(self, four_job_trace, baseline):
+        with pytest.raises(ReportError, match="baseline"):
+            build_report(four_job_trace, baseline_wall_ms=baseline)
+
 
 def csv_rows(path):
     with open(path, newline="") as fh:

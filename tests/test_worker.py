@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquefarm import worker
+from cliquefarm import distkernel, worker
 from cliquefarm.core import mc
 from cliquefarm.graph import degree_sort, generate_gnp, to_dimacs
 from cliquefarm.jobqueue import (
@@ -63,6 +63,16 @@ class TestWorkerConfig:
                 reread_best_seconds=0,
             )
 
+    @pytest.mark.parametrize("interval", [-1.0, float("nan"), float("inf")])
+    def test_interval_not_finite_positive_rejected(self, tmp_path, interval):
+        with pytest.raises(ValueError, match="finite and positive"):
+            WorkerConfig(
+                worker_id="w",
+                graph_path=tmp_path,
+                queue_root=tmp_path,
+                reread_best_seconds=interval,
+            )
+
 
 class TestWorkerLoop:
     def test_single_worker_drains_queue(self, tmp_path):
@@ -84,6 +94,27 @@ class TestWorkerLoop:
         assert read_best(layout) == omega
         assert len(log.getvalue().splitlines()) == 8 * g.n
         assert "best_in=" in log.getvalue()
+
+    @pytest.mark.parametrize("n, f", [(4, 1), (12, 8)])
+    def test_root_coloured_once_per_worker_loop(self, tmp_path, monkeypatch, n, f):
+        calls = []
+        colour_root = distkernel.colour_root
+
+        def spy(g, order):
+            calls.append(g.n)
+            return colour_root(g, order)
+
+        monkeypatch.setattr(distkernel, "colour_root", spy)
+        g = generate_gnp(n, 0.5, 2)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        init_queue(root, graph_path.name, n=g.n, f=f, fingerprint=g.fingerprint())
+        summary = worker_loop(
+            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
+            log=io.StringIO(),
+        )
+        assert summary.jobs == f * n
+        assert calls == [n]
 
     def test_empty_queue_zero_jobs(self, tmp_path):
         g = complete_graph(3)
