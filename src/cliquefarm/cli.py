@@ -4,7 +4,7 @@
     oracle <graph>                                 brute-force check (small n)
     gen --n N --p P --seed S --out PATH            write a random DIMACS file
     init --graph PATH --queue DIR [--split-factor F]
-    work --graph PATH --queue DIR --id ID [--seed S] [--reread-best never|SECS]
+    work --graph PATH --queue DIR --id ID [--seed S]
     collect --queue DIR
     requeue --queue DIR --grace-seconds S
     report --queue DIR --out DIR [--baseline-wall-ms MS]
@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -79,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue", type=Path, required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reread-best", default="never", metavar="never|SECONDS")
     p.set_defaults(func=cmd_work)
 
     p = sub.add_parser("collect", help="summarise the results directory")
@@ -141,27 +139,16 @@ def cmd_init(args) -> int:
 
 
 def cmd_work(args) -> int:
-    if args.reread_best == "never":
-        interval = None
-    else:
-        try:
-            interval = float(args.reread_best)
-        except ValueError:
-            interval = math.nan  # refused below, with 0, negatives and inf
-        if not (math.isfinite(interval) and interval > 0):
-            print(
-                "error: --reread-best must be 'never' or a finite positive number "
-                f"of seconds, got {args.reread_best!r}",
-                file=sys.stderr,
-            )
-            return 1
-    config = worker_mod.WorkerConfig(
-        worker_id=args.id,
-        graph_path=args.graph,
-        queue_root=args.queue,
-        reread_best_seconds=interval,
-        rng_seed=args.seed,
-    )
+    try:
+        config = worker_mod.WorkerConfig(
+            worker_id=args.id,
+            graph_path=args.graph,
+            queue_root=args.queue,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:  # an empty --id
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     summary = worker_mod.worker_loop(config)
     print(
         f"worker={args.id} jobs={summary.jobs} nodes={summary.nodes} "

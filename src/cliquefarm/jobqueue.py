@@ -238,12 +238,14 @@ def claim_job(layout: QueueLayout, jobs: Iterable[int]) -> int | None:
     running/; a lost race moves on to the next id. None once `jobs` runs out.
     Pass one iterator across calls to resume where the last claim stopped."""
     for t in jobs:
-        dest = layout.running_dir / str(t)
+        src = layout.shard_dir(shard_of(t)) / str(t)
         try:
-            os.rename(layout.shard_dir(shard_of(t)) / str(t), dest)
+            # rename keeps the mtime, and requeue_stale may look at running/
+            # the moment the job lands there: staleness must count from claim
+            os.utime(src)
+            os.rename(src, layout.running_dir / str(t))
         except FileNotFoundError:
             continue
-        os.utime(dest)  # rename keeps the old mtime; staleness counts from claim
         return t
     return None
 

@@ -6,7 +6,6 @@ several workers at the same queue root.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -17,21 +16,20 @@ from .distkernel import JobSpec, Root, mc_dist
 from .graph import Graph, degree_sort, load_dimacs
 from .jobqueue import JobResultRecord, QueueError, QueueLayout
 
+# a running job re-reads the shared best at most this often
+REREAD_BEST_SECONDS = 1.0
+
 
 @dataclass
 class WorkerConfig:
     worker_id: str
     graph_path: Path
     queue_root: Path
-    reread_best_seconds: float | None = None  # None: read once per job
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.worker_id:
             raise ValueError("worker id must be non-empty")
-        interval = self.reread_best_seconds
-        if interval is not None and not (math.isfinite(interval) and interval > 0):
-            raise ValueError(f"re-read interval must be finite and positive, got {interval}")
 
 
 @dataclass
@@ -88,7 +86,8 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
     ended, and the worker exits when there are none. A job requeued while
     it ran and not yet re-run cannot be published: it is dropped with a log
     line, neither counted nor proposed as best, and runs again from
-    pending/.
+    pending/. A job starts from best as read at claim and re-reads it at
+    most once every REREAD_BEST_SECONDS.
     """
     layout = jobqueue.open_queue(config.queue_root)
     meta = jobqueue.read_meta(layout)
@@ -110,9 +109,6 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
         jobs = iter(pass_order)
         for t in iter(lambda: jobqueue.claim_job(layout, jobs), None):
             c = jobqueue.read_best(layout)
-            refresher = None
-            if config.reread_best_seconds is not None:
-                refresher = _periodic_refresher(layout, config.reread_best_seconds)
             record = run_job(
                 g,
                 t,
@@ -120,7 +116,7 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
                 config.worker_id,
                 meta.f,
                 order=order,
-                refresher=refresher,
+                refresher=_periodic_refresher(layout, REREAD_BEST_SECONDS),
                 not_before_unix_ms=last_finished,
                 root=root,
             )

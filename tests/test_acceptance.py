@@ -50,12 +50,12 @@ def report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def start_worker(graph_path, queue_root, worker_id, seed, reread="1"):
+def start_worker(graph_path, queue_root, worker_id, seed):
     return subprocess.Popen(
         [
             sys.executable, "-m", "cliquefarm", "work",
             "--graph", str(graph_path), "--queue", str(queue_root),
-            "--id", worker_id, "--seed", str(seed), "--reread-best", reread,
+            "--id", worker_id, "--seed", str(seed),
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -188,10 +188,8 @@ class TestCriterion5FaultTolerance:
         graph_path = farm_run.graph_path
         g = load_dimacs(graph_path)
         init_queue(queue_root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
-        # default read-at-start policy keeps early jobs long enough to kill into
         workers = [
-            start_worker(graph_path, queue_root, f"w{i}", seed=10 + i, reread="never")
-            for i in range(4)
+            start_worker(graph_path, queue_root, f"w{i}", seed=10 + i) for i in range(4)
         ]
         layout = open_queue(queue_root)
         deadline = time.monotonic() + 60

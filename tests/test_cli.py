@@ -162,43 +162,15 @@ class TestQueueCommands:
         for name in ("busy.csv", "workers.csv", "tail.csv", "summary.csv"):
             assert (tmp_path / "rep" / name).is_file()
 
-    def test_work_rejects_bad_reread(self, tmp_path, capsys):
+    def test_work_empty_id_is_an_error(self, tmp_path, capsys):
         g = write_graph(tmp_path, cycle_graph(6))
         q = tmp_path / "q"
         run_cli(capsys, "init", "--graph", g, "--queue", q)
-        code, _, err = run_cli(
-            capsys, "work", "--graph", g, "--queue", q, "--id", "w0",
-            "--reread-best", "sometimes",
-        )
+        code, _, err = run_cli(capsys, "work", "--graph", g, "--queue", q, "--id", "")
         assert code == 1
-        assert "reread-best" in err
-
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-    def test_work_rejects_reread_not_finite_positive(self, tmp_path, capsys, value):
-        # nan would re-read best before every depth-2 branch, since
-        # `elapsed < nan` is never true; 0 and -1 once raised a traceback
-        g = write_graph(tmp_path, cycle_graph(6))
-        q = tmp_path / "q"
-        run_cli(capsys, "init", "--graph", g, "--queue", q)
-        code, out, err = run_cli(
-            capsys, "work", "--graph", g, "--queue", q, "--id", "w0",
-            "--reread-best", value,
-        )
-        assert code == 1
-        assert err.startswith("error:") and "reread-best" in err
-        assert "jobs=" not in out
+        assert err.startswith("error:")
         assert os.listdir(q / "results") == []
-
-    def test_work_accepts_reread_seconds(self, tmp_path, capsys):
-        g = write_graph(tmp_path, cycle_graph(6))
-        q = tmp_path / "q"
-        run_cli(capsys, "init", "--graph", g, "--queue", q)
-        code, out, _ = run_cli(
-            capsys, "work", "--graph", g, "--queue", q, "--id", "w0",
-            "--reread-best", "0.5",
-        )
-        assert code == 0
-        assert "jobs=48" in out
+        assert os.listdir(q / "running") == []
 
     def test_requeue(self, tmp_path, capsys):
         g = write_graph(tmp_path, cycle_graph(6))

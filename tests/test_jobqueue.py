@@ -135,6 +135,23 @@ class TestClaim:
         monkeypatch.setattr(os, "listdir", forbidden)
         assert claim_job(layout, range(8)) == 0
 
+    def test_requeue_right_after_claim_rename_keeps_the_claim(self, tmp_path, monkeypatch):
+        # a pending file is old; a requeue that runs right after the claim's
+        # rename must find it fresh, and the claim must not crash
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=1, fingerprint="toy")
+        os.utime(layout.shard_dir(shard_of(0)) / "0", (0, 0))
+        real_rename = os.rename
+        requeued = []
+
+        def rename_then_requeue(src, dst):
+            real_rename(src, dst)
+            if not requeued:
+                requeued.append(requeue_stale(layout, grace_seconds=1))
+
+        monkeypatch.setattr(jobqueue.os, "rename", rename_then_requeue)
+        assert claim_job(layout, [0]) == 0
+        assert (layout.running_dir / "0").exists()
+
     def test_conservation(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=4, f=8, fingerprint="toy")
         claimed = []

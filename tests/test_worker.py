@@ -54,25 +54,6 @@ class TestWorkerConfig:
         with pytest.raises(ValueError):
             WorkerConfig(worker_id="", graph_path=tmp_path, queue_root=tmp_path)
 
-    def test_bad_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            WorkerConfig(
-                worker_id="w",
-                graph_path=tmp_path,
-                queue_root=tmp_path,
-                reread_best_seconds=0,
-            )
-
-    @pytest.mark.parametrize("interval", [-1.0, float("nan"), float("inf")])
-    def test_interval_not_finite_positive_rejected(self, tmp_path, interval):
-        with pytest.raises(ValueError, match="finite and positive"):
-            WorkerConfig(
-                worker_id="w",
-                graph_path=tmp_path,
-                queue_root=tmp_path,
-                reread_best_seconds=interval,
-            )
-
 
 class TestWorkerLoop:
     def test_single_worker_drains_queue(self, tmp_path):
@@ -115,6 +96,26 @@ class TestWorkerLoop:
         )
         assert summary.jobs == f * n
         assert calls == [n]
+
+    def test_every_job_gets_a_refresher(self, tmp_path, monkeypatch):
+        refreshers = []
+        mc_dist = worker.mc_dist
+
+        def spy(g, spec, order, refresher=None, root=None):
+            refreshers.append(refresher)
+            return mc_dist(g, spec, order, refresher=refresher, root=root)
+
+        monkeypatch.setattr(worker, "mc_dist", spy)
+        g = generate_gnp(12, 0.5, 2)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
+        summary = worker_loop(
+            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
+            log=io.StringIO(),
+        )
+        assert summary.jobs == len(refreshers) == 8 * g.n
+        assert all(r is not None for r in refreshers)
 
     def test_empty_queue_zero_jobs(self, tmp_path):
         g = complete_graph(3)
@@ -259,18 +260,14 @@ class TestWorkerLoop:
         assert s2.jobs == 0
         assert collect_results(layout).complete
 
-    def test_periodic_reread_policy_runs(self, tmp_path):
+    def test_periodic_reread_policy_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker, "REREAD_BEST_SECONDS", 0.001)
         g = generate_gnp(20, 0.5, 3)
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
         init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         summary = worker_loop(
-            WorkerConfig(
-                worker_id="w0",
-                graph_path=graph_path,
-                queue_root=root,
-                reread_best_seconds=0.001,
-            )
+            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
         )
         assert summary.jobs == 8 * g.n
         assert collect_results(open_queue(root)).best_omega == len(mc(g)[0])
