@@ -235,9 +235,5 @@ def brute_force_omega(g: Graph) -> tuple[int, list[int]]:
             x_mask |= 1 << v
 
     extend(0, 0, (1 << g.n) - 1, 0)
-    if best_size == 0:
-        # n >= 1 always admits a singleton clique; reachable only if n == 0,
-        # which the Graph constructor forbids.
-        return 1, [0]
     witness = [v for v in range(g.n) if best_mask >> v & 1]
     return best_size, witness

@@ -6,7 +6,8 @@ Layout under the queue root:
     best                 current incumbent size, ASCII decimal + newline
     best.lock            advisory lock file guarding best
     best.tmp             the next best, written whole, then renamed onto best
-    best.log             one line per accepted best write (audit trail)
+    best.log             one line per accepted best write, with its witness:
+                         <unix_ms> <size> <v1> ... <vk> (1-based vertices)
     pending/00..99/<t>   unclaimed jobs, sharded by the last two digits of t
     running/<t>          claimed jobs
     results/<t>          finished jobs, serialized JobResultRecord
@@ -115,8 +116,8 @@ class QueueMeta:
 class JobResultRecord:
     """What one finished job reports back.
 
-    omega == 0 with an empty clique means the job found nothing better than
-    its injected bound; otherwise omega == len(clique) and the clique is an
+    omega == len(clique), always: 0 with an empty clique means the job found
+    nothing better than its injected bound; otherwise the clique is an
     ascending 1-based vertex list.
     """
 
@@ -130,7 +131,7 @@ class JobResultRecord:
     finished_unix_ms: int
 
     def __post_init__(self) -> None:
-        if self.clique and self.omega != len(self.clique):
+        if self.omega != len(self.clique):
             raise QueueError(
                 f"omega {self.omega} != clique size {len(self.clique)} for job {self.t}"
             )
@@ -282,36 +283,42 @@ def _best_in(path: Path) -> int:
     return value
 
 
-def update_best(layout: QueueLayout, candidate: int) -> tuple[bool, int]:
-    """Propose a new incumbent; returns (wrote, value now in the file).
+def update_best(layout: QueueLayout, clique: list[int]) -> tuple[bool, int]:
+    """Propose a 1-based clique as incumbent; returns (wrote, size now in best).
 
     Reads best once, under the exclusive lock, and writes only a strict
-    improvement: to best.tmp, then renamed onto best, so a kill never leaves
-    best half-written. Each write appends a line to best.log.
+    improvement: first its witness line to best.log, then best.tmp, renamed
+    onto best, so best never holds a size without a logged witness and a
+    kill never leaves best half-written.
     """
-    if candidate < 0:
-        raise QueueError(f"candidate must be >= 0, got {candidate}")
     with locked(layout.best_lock, exclusive=True):
         current = _best_in(layout.best_path)
-        if candidate <= current:
+        if len(clique) <= current:
             return False, current
-        tmp = layout.root / "best.tmp"
-        tmp.write_text(f"{candidate}\n", encoding="ascii")
-        os.replace(tmp, layout.best_path)
         with open(layout.best_log, "a", encoding="ascii") as fh:
-            fh.write(f"{int(time.time() * 1000)} {candidate}\n")
-        return True, candidate
+            print(int(time.time() * 1000), len(clique), *clique, file=fh)
+        tmp = layout.root / "best.tmp"
+        tmp.write_text(f"{len(clique)}\n", encoding="ascii")
+        os.replace(tmp, layout.best_path)
+        return True, len(clique)
 
 
-def read_best_log(layout: QueueLayout) -> list[int]:
-    """Accepted incumbent values in write order (empty if never improved)."""
+def read_best_log(layout: QueueLayout) -> tuple[list[list[int]], list[str]]:
+    """The witnesses in best.log, in write order, and an error for each line
+    that is not `<unix_ms> <size>` followed by size vertices."""
     if not layout.best_log.exists():
-        return []
-    values = []
-    for line in layout.best_log.read_text(encoding="ascii").splitlines():
-        if line.strip():
-            values.append(int(line.split()[1]))
-    return values
+        return [], []
+    witnesses, errors = [], []
+    text = layout.best_log.read_text(encoding="ascii", errors="replace")
+    for i, line in enumerate(text.splitlines(), 1):
+        try:
+            _, size, *clique = map(int, line.split())
+            if size != len(clique):
+                raise ValueError(f"size {size} but {len(clique)} vertices")
+            witnesses.append(clique)
+        except ValueError as exc:
+            errors.append(f"best.log line {i}: {exc}")
+    return witnesses, errors
 
 
 def publish_result(layout: QueueLayout, record: JobResultRecord) -> None:
@@ -358,10 +365,10 @@ class CollectSummary:
 
 
 def collect_results(layout: QueueLayout) -> CollectSummary:
-    """Parse every result record and pick the best.
+    """Parse every result record; the answer is the largest witness in
+    best.log, the first of them on a tie.
 
-    Best = highest omega, preferring records with a non-empty clique, ties
-    broken by lowest job id. Unparseable files are reported in `errors`, not
+    Unparseable records and best.log lines are reported in `errors`, not
     fatal. The expected jobs are the f*n of meta.
     """
     job_count = read_meta(layout).job_count
@@ -380,15 +387,13 @@ def collect_results(layout: QueueLayout) -> CollectSummary:
         records.append(record)
     present = {r.t for r in records}
     missing = [t for t in range(job_count) if t not in present]
-    best_omega, best_clique = 0, []
-    for record in sorted(records, key=lambda r: (-r.omega, not r.clique, r.t)):
-        best_omega, best_clique = record.omega, list(record.clique)
-        break
+    witnesses, log_errors = read_best_log(layout)
+    best_clique = max(witnesses, key=len, default=[])
     return CollectSummary(
         complete=not missing,
         missing=missing,
-        best_omega=best_omega,
+        best_omega=len(best_clique),
         best_clique=best_clique,
         records=records,
-        errors=errors,
+        errors=errors + log_errors,
     )

@@ -76,18 +76,19 @@ def run_job(
 
 
 def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
-    """Drain the queue: claim, run, publish, propose the new best; repeat.
+    """Drain the queue: claim, run, propose the clique as best, publish; repeat.
 
     The graph must be the one the queue was made for: its fingerprint must
     equal meta's, or QueueError is raised before anything is claimed. The
     graph, its degree order, its coloured root and the claim order are
     built once. The first pass walks the whole claim order; each later pass
     walks, in that order, only the jobs still in pending/ when the last pass
-    ended, and the worker exits when there are none. A job requeued while
-    it ran and not yet re-run cannot be published: it is dropped with a log
-    line, neither counted nor proposed as best, and runs again from
-    pending/. A job starts from best as read at claim and re-reads it at
-    most once every REREAD_BEST_SECONDS.
+    ended, and the worker exits when there are none. A job's clique is
+    proposed before its record is published, so best.log holds it even if
+    the publish fails: a job requeued while it ran and not yet re-run is
+    dropped with a log line, not counted, and runs again from pending/. A
+    job starts from best as read at claim and re-reads it at most once
+    every REREAD_BEST_SECONDS.
     """
     layout = jobqueue.open_queue(config.queue_root)
     meta = jobqueue.read_meta(layout)
@@ -121,13 +122,13 @@ def worker_loop(config: WorkerConfig, log=sys.stdout) -> WorkerSummary:
                 root=root,
             )
             last_finished = record.finished_unix_ms
+            if record.clique:
+                jobqueue.update_best(layout, record.clique)
             try:
                 jobqueue.publish_result(layout, record)
-            except QueueError:  # requeued while it ran: no record, so no best
+            except QueueError:  # requeued while it ran; the re-run publishes
                 print(f"job={t} dropped=requeued", file=log, flush=True)
                 continue
-            if record.omega > 0:
-                jobqueue.update_best(layout, record.omega)
             summary.jobs += 1
             summary.nodes += record.nodes
             summary.wall_ms += record.wall_ms

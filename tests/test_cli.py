@@ -209,3 +209,5 @@ class TestQueueCommands:
         run_cli(capsys, "init", "--graph", g, "--queue", q)
         code, _, err = run_cli(capsys, "report", "--queue", q, "--out", tmp_path / "rep")
         assert code == 1
+        assert err == "error: no records to report on\n"
+        assert not (tmp_path / "rep").exists()

@@ -28,6 +28,11 @@ from cliquefarm.jobqueue import (
 )
 
 
+def witness(size):
+    """A 1-based clique of `size` vertices, as update_best takes it."""
+    return list(range(1, size + 1))
+
+
 def make_record(t=0, omega=3, clique=(1, 2, 5), **overrides):
     kwargs = dict(
         t=t,
@@ -236,21 +241,22 @@ class TestBest:
 
     def test_update_and_read(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
-        assert update_best(layout, 27) == (True, 27)
+        assert update_best(layout, witness(27)) == (True, 27)
         assert read_best(layout) == 27
 
     def test_non_improving_rejected(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
-        update_best(layout, 10)
-        assert update_best(layout, 8) == (False, 10)
-        assert update_best(layout, 10) == (False, 10)  # ties rejected too
-        assert update_best(layout, 12) == (True, 12)
+        update_best(layout, witness(10))
+        assert update_best(layout, witness(8)) == (False, 10)
+        assert update_best(layout, witness(10)) == (False, 10)  # ties rejected too
+        assert update_best(layout, witness(12)) == (True, 12)
 
     def test_log_records_accepted_writes(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         for v in (3, 1, 5, 5, 9):
-            update_best(layout, v)
-        assert read_best_log(layout) == [3, 5, 9]
+            update_best(layout, witness(v))
+        witnesses, _ = read_best_log(layout)
+        assert [len(w) for w in witnesses] == [3, 5, 9]
 
     def test_readers_share_the_lock(self, tmp_path):
         # a held shared lock must not block other readers, only writers
@@ -258,7 +264,7 @@ class TestBest:
 
         root = tmp_path / "q"
         layout = init_queue(root, "toy", n=2, f=8, fingerprint="toy")
-        update_best(layout, 7)
+        update_best(layout, witness(7))
         out = mp.Queue()
 
         def reader():
@@ -292,7 +298,7 @@ class TestBest:
             # update_best must parse best itself, under the exclusive lock
             monkeypatch.setattr(jobqueue, "read_best", lambda layout: 0)
         with pytest.raises(QueueError, match="corrupt"):
-            update_best(layout, 3)
+            update_best(layout, witness(3))
 
     def test_update_locks_best_once_exclusively(self, tmp_path, monkeypatch):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
@@ -304,29 +310,51 @@ class TestBest:
             return real_locked(path, exclusive)
 
         monkeypatch.setattr(jobqueue, "locked", spy)
-        assert update_best(layout, 5) == (True, 5)
-        assert update_best(layout, 3) == (False, 5)
+        assert update_best(layout, witness(5)) == (True, 5)
+        assert update_best(layout, witness(3)) == (False, 5)
         assert taken == [(layout.best_lock, True)] * 2
 
     def test_failed_replace_keeps_old_best(self, tmp_path, monkeypatch):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
-        update_best(layout, 4)
+        update_best(layout, witness(4))
 
         def fail(src, dst):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            update_best(layout, 9)
+            update_best(layout, witness(9))
         monkeypatch.undo()
         assert read_best(layout) == 4
-        assert read_best_log(layout) == [4]
+        witnesses, _ = read_best_log(layout)
+        assert [len(w) for w in witnesses] == [4, 9]  # the witness went first
+
+    def test_witness_logged_by_a_failed_replace_stays_the_answer(
+        self, tmp_path, monkeypatch
+    ):
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
+        update_best(layout, witness(4))
+        nine = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            update_best(layout, nine)
+        monkeypatch.undo()
+        assert read_best(layout) == 4
+        assert read_best_log(layout) == ([witness(4), nine], [])
+        assert update_best(layout, witness(6)) == (True, 6)  # > best, < the witness
+        summary = collect_results(layout)
+        assert (summary.best_omega, summary.best_clique) == (9, nine)
+        assert summary.errors == []
 
 
 def _updater(root, values):
     layout = open_queue(root)
     for v in values:
-        update_best(layout, v)
+        update_best(layout, witness(v))
 
 
 class TestBestConcurrency:
@@ -347,7 +375,7 @@ class TestBestConcurrency:
         for p in procs:
             p.join()
         assert read_best(layout) == max(all_values)
-        trace = read_best_log(layout)
+        trace = [len(w) for w in read_best_log(layout)[0]]
         assert trace == sorted(set(trace))  # strictly increasing
         assert trace[-1] == max(all_values)
 
@@ -424,6 +452,8 @@ class TestPublish:
     def test_record_rejects_inconsistent_omega(self):
         with pytest.raises(QueueError, match="omega"):
             make_record(omega=2, clique=[1, 2, 3])
+        with pytest.raises(QueueError, match="omega"):
+            make_record(omega=5, clique=[])
 
     def test_record_rejects_time_travel(self):
         with pytest.raises(QueueError, match="finished before"):
@@ -505,14 +535,12 @@ def test_stray_names_are_not_jobs(tmp_path, where):
 
 
 class TestCollect:
-    def _publish_all(self, layout, count, omega_of=lambda t: 0):
+    def _publish_all(self, layout, count):
+        """Claim and publish `count` jobs, each with omega=0."""
         for _ in range(count):
             t = claim_job(layout, range(16))
-            omega = omega_of(t)
-            clique = list(range(1, omega + 1))
             publish_result(
-                layout,
-                make_record(t=t, omega=omega, clique=clique, worker=f"w{t % 3}"),
+                layout, make_record(t=t, omega=0, clique=(), worker=f"w{t % 3}")
             )
 
     def test_all_present(self, tmp_path):
@@ -529,12 +557,31 @@ class TestCollect:
         assert not summary.complete
         assert len(summary.missing) == 1
 
-    def test_best_prefers_max_omega_lowest_t(self, tmp_path):
+    def test_answer_is_the_logged_witness_no_record_holds(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
-        self._publish_all(layout, 16, omega_of=lambda t: 4 if t in (5, 9) else 0)
+        update_best(layout, [2, 5, 7])
+        self._publish_all(layout, 16)
         summary = collect_results(layout)
-        assert summary.best_omega == 4
-        assert summary.best_clique == [1, 2, 3, 4]
+        assert summary.complete
+        assert summary.best_omega == 3
+        assert summary.best_clique == [2, 5, 7]
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["1700000000000 5\n", "1700000000000 5 1 2"],
+        ids=["size-only-line", "torn-last-line"],
+    )
+    def test_log_line_without_its_witness_is_an_error(self, tmp_path, bad_line):
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
+        update_best(layout, [2, 5, 7])
+        with open(layout.best_log, "a", encoding="ascii") as fh:
+            fh.write(bad_line)
+        self._publish_all(layout, 16)
+        summary = collect_results(layout)
+        assert summary.best_omega == 3
+        assert summary.best_clique == [2, 5, 7]
+        assert len(summary.errors) == 1
+        assert summary.errors[0].startswith("best.log line 2: size 5 but")
 
     def test_unparseable_record_reported_not_fatal(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")

@@ -17,6 +17,7 @@ from cliquefarm.jobqueue import (
     open_queue,
     pending_jobs,
     read_best,
+    read_best_log,
     requeue_stale,
 )
 from cliquefarm.worker import WorkerConfig, run_job, worker_loop
@@ -199,6 +200,39 @@ class TestWorkerLoop:
         assert requeued == [claim_order(8 * g.n, 0)[0]]
         assert f"job={requeued[0]} dropped=requeued" in log.getvalue().splitlines()
         assert summary.jobs == 8 * g.n
+        result = collect_results(layout)
+        assert result.complete
+        assert result.best_omega == read_best(layout) == len(mc(g)[0])
+
+    def test_requeued_job_clique_is_logged_before_its_rerun(self, tmp_path, monkeypatch):
+        g = generate_gnp(12, 0.5, 2)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        layout = init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
+        real_run_job = worker.run_job
+        runs = []  # (t, best the job started from, its clique, witnesses before it ran)
+
+        def requeue_own_job_once(g, t, c, *args, **kwargs):
+            if not runs:
+                old = time.time() - 120
+                os.utime(layout.running_dir / str(t), (old, old))
+                assert requeue_stale(layout, 60) == [t]
+            logged, _ = read_best_log(layout)
+            record = real_run_job(g, t, c, *args, **kwargs)
+            runs.append((t, c, record.clique, logged))
+            return record
+
+        monkeypatch.setattr(worker, "run_job", requeue_own_job_once)
+        log = io.StringIO()
+        worker_loop(
+            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
+            log=log,
+        )
+        dropped, c, clique, _ = runs[0]
+        assert f"job={dropped} dropped=requeued" in log.getvalue().splitlines()
+        assert len(clique) > c  # the dropped run beat best
+        rerun = [logged for t, _, _, logged in runs[1:] if t == dropped]
+        assert len(rerun) == 1 and clique in rerun[0]
         result = collect_results(layout)
         assert result.complete
         assert result.best_omega == read_best(layout) == len(mc(g)[0])
