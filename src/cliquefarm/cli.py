@@ -139,17 +139,7 @@ def cmd_init(args) -> int:
 
 
 def cmd_work(args) -> int:
-    try:
-        config = worker_mod.WorkerConfig(
-            worker_id=args.id,
-            graph_path=args.graph,
-            queue_root=args.queue,
-            rng_seed=args.seed,
-        )
-    except ValueError as exc:  # an empty --id
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = worker_mod.worker_loop(config)
+    summary = worker_mod.worker_loop(args.graph, args.queue, args.id, args.seed)
     print(
         f"worker={args.id} jobs={summary.jobs} nodes={summary.nodes} "
         f"wall_ms={summary.wall_ms}"

@@ -3,7 +3,7 @@
 Vertices are 0-based internally; DIMACS files are 1-based. The offset is
 applied where a vertex crosses to or from the user: at parse and serialise
 here, and where a clique is printed or recorded (cli.cmd_solve,
-cli.cmd_oracle and worker.run_job).
+cli.cmd_oracle and worker.worker_loop).
 """
 
 from __future__ import annotations

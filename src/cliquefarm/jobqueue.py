@@ -295,8 +295,12 @@ def update_best(layout: QueueLayout, clique: list[int]) -> tuple[bool, int]:
         current = _best_in(layout.best_path)
         if len(clique) <= current:
             return False, current
-        with open(layout.best_log, "a", encoding="ascii") as fh:
-            print(int(time.time() * 1000), len(clique), *clique, file=fh)
+        line = " ".join(map(str, [int(time.time() * 1000), len(clique), *clique]))
+        with open(layout.best_log, "a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                line = "\n" + line  # end a torn last line, or it swallows this one
+            fh.write(f"{line}\n".encode("ascii"))
         tmp = layout.root / "best.tmp"
         tmp.write_text(f"{len(clique)}\n", encoding="ascii")
         os.replace(tmp, layout.best_path)

@@ -4,6 +4,7 @@ import pytest
 
 from cliquefarm.cli import main
 from cliquefarm.graph import load_dimacs, to_dimacs
+from cliquefarm.jobqueue import open_queue, pending_jobs
 
 from conftest import complete_graph, cycle_graph
 
@@ -162,15 +163,21 @@ class TestQueueCommands:
         for name in ("busy.csv", "workers.csv", "tail.csv", "summary.csv"):
             assert (tmp_path / "rep" / name).is_file()
 
-    def test_work_empty_id_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "worker_id", ["", "wörker", "a\nomega=9"], ids=["empty", "non-ascii", "newline"]
+    )
+    def test_work_empty_id_is_an_error(self, tmp_path, capsys, worker_id):
         g = write_graph(tmp_path, cycle_graph(6))
         q = tmp_path / "q"
         run_cli(capsys, "init", "--graph", g, "--queue", q)
-        code, _, err = run_cli(capsys, "work", "--graph", g, "--queue", q, "--id", "")
+        code, _, err = run_cli(
+            capsys, "work", "--graph", g, "--queue", q, "--id", worker_id
+        )
         assert code == 1
         assert err.startswith("error:")
         assert os.listdir(q / "results") == []
         assert os.listdir(q / "running") == []
+        assert len(pending_jobs(open_queue(q))) == 48
 
     def test_requeue(self, tmp_path, capsys):
         g = write_graph(tmp_path, cycle_graph(6))

@@ -583,6 +583,19 @@ class TestCollect:
         assert len(summary.errors) == 1
         assert summary.errors[0].startswith("best.log line 2: size 5 but")
 
+    def test_witness_after_a_torn_last_line_stays_the_answer(self, tmp_path):
+        layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
+        update_best(layout, [1, 2, 3])
+        with open(layout.best_log, "a", encoding="ascii") as fh:
+            fh.write("1700000000000 5 1 2")
+        update_best(layout, witness(6))
+        self._publish_all(layout, 16)
+        summary = collect_results(layout)
+        assert summary.best_omega == 6
+        assert summary.best_clique == witness(6)
+        assert len(summary.errors) == 1
+        assert summary.errors[0].startswith("best.log line 2: size 5 but")
+
     def test_unparseable_record_reported_not_fatal(self, tmp_path):
         layout = init_queue(tmp_path / "q", "toy", n=2, f=8, fingerprint="toy")
         self._publish_all(layout, 16)

@@ -7,7 +7,7 @@ import pytest
 
 from cliquefarm import distkernel, worker
 from cliquefarm.core import mc
-from cliquefarm.graph import degree_sort, generate_gnp, to_dimacs
+from cliquefarm.graph import generate_gnp, to_dimacs
 from cliquefarm.jobqueue import (
     QueueError,
     claim_job,
@@ -19,8 +19,9 @@ from cliquefarm.jobqueue import (
     read_best,
     read_best_log,
     requeue_stale,
+    update_best,
 )
-from cliquefarm.worker import WorkerConfig, run_job, worker_loop
+from cliquefarm.worker import worker_loop
 
 from conftest import complete_graph
 
@@ -31,29 +32,63 @@ def write_graph(tmp_path, g, name="g.clq"):
     return path
 
 
-class TestRunJob:
-    def test_bound_saturation(self, k5):
-        record = run_job(k5, t=19, c=5, worker_id="w", f=8, order=degree_sort(k5))
-        assert record.omega == 0
-        assert record.clique == []
+def drain_k5(tmp_path, k5, best=None):
+    """The records of a K5 queue (f=8) drained by one worker, after `best`
+    is proposed."""
+    graph_path = write_graph(tmp_path, k5)
+    layout = init_queue(tmp_path / "q", "k5.clq", n=5, f=8, fingerprint=k5.fingerprint())
+    if best:
+        update_best(layout, best)
+    summary = worker_loop(graph_path, layout.root, "w", log=io.StringIO())
+    assert summary.jobs == 40
+    return {r.t: r for r in collect_results(layout).records}
 
-    def test_covering_job_finds_k5(self, k5):
-        record = run_job(k5, t=19, c=0, worker_id="w", f=8, order=degree_sort(k5))
+
+class TestRunJob:
+    """How worker_loop runs one job and records it."""
+
+    def test_bound_saturation(self, tmp_path, k5):
+        records = drain_k5(tmp_path, k5, best=[1, 2, 3, 4, 5])
+        assert all(r.omega == 0 and r.clique == [] for r in records.values())
+
+    def test_covering_job_finds_k5(self, tmp_path, k5):
+        record = drain_k5(tmp_path, k5)[19]
         assert record.omega == 5
         assert record.clique == [1, 2, 3, 4, 5]
 
-    def test_counters_always_positive(self, k5):
-        for t in range(40):
-            record = run_job(k5, t=t, c=0, worker_id="w", f=8, order=degree_sort(k5))
+    def test_counters_always_positive(self, tmp_path, k5):
+        records = drain_k5(tmp_path, k5)
+        assert sorted(records) == list(range(40))
+        for record in records.values():
             assert record.wall_ms > 0
             assert record.nodes >= 1
             assert record.finished_unix_ms >= record.started_unix_ms
 
 
 class TestWorkerConfig:
+    """worker_loop refuses a worker id that a result record cannot carry."""
+
+    def _refused(self, tmp_path, worker_id):
+        g = complete_graph(5)
+        graph_path = write_graph(tmp_path, g)
+        layout = init_queue(
+            tmp_path / "q", "k5.clq", n=5, f=8, fingerprint=g.fingerprint()
+        )
+        with pytest.raises(QueueError, match="worker id"):
+            worker_loop(graph_path, layout.root, worker_id)
+        assert os.listdir(layout.running_dir) == []
+        assert len(pending_jobs(layout)) == 40
+
     def test_empty_id_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            WorkerConfig(worker_id="", graph_path=tmp_path, queue_root=tmp_path)
+        self._refused(tmp_path, "")
+
+    @pytest.mark.parametrize(
+        "worker_id",
+        ["wörker", "a\nomega=9", "a\rb", "a\x0bb", "a\x1cb"],
+        ids=["non-ascii", "newline", "carriage-return", "line-tab", "file-separator"],
+    )
+    def test_unrecordable_id_rejected(self, tmp_path, worker_id):
+        self._refused(tmp_path, worker_id)
 
 
 class TestWorkerLoop:
@@ -63,10 +98,7 @@ class TestWorkerLoop:
         root = tmp_path / "q"
         init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         log = io.StringIO()
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
-            log=log,
-        )
+        summary = worker_loop(graph_path, root, "w0", log=log)
         assert summary.jobs == 8 * g.n
         layout = open_queue(root)
         result = collect_results(layout)
@@ -91,10 +123,7 @@ class TestWorkerLoop:
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
         init_queue(root, graph_path.name, n=g.n, f=f, fingerprint=g.fingerprint())
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
-            log=io.StringIO(),
-        )
+        summary = worker_loop(graph_path, root, "w0", log=io.StringIO())
         assert summary.jobs == f * n
         assert calls == [n]
 
@@ -111,10 +140,7 @@ class TestWorkerLoop:
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
         init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
-            log=io.StringIO(),
-        )
+        summary = worker_loop(graph_path, root, "w0", log=io.StringIO())
         assert summary.jobs == len(refreshers) == 8 * g.n
         assert all(r is not None for r in refreshers)
 
@@ -125,9 +151,7 @@ class TestWorkerLoop:
         layout = init_queue(root, graph_path.name, n=3, f=1, fingerprint=g.fingerprint())
         while claim_job(layout, range(3)) is not None:
             pass
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
-        )
+        summary = worker_loop(graph_path, root, "w0")
         assert summary.jobs == 0
 
     def test_job_requeued_behind_cursor_runs_on_next_pass(self, tmp_path):
@@ -148,10 +172,7 @@ class TestWorkerLoop:
                     requeued.extend(requeue_stale(layout, 60))
                 return super().write(text)
 
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
-            log=RequeueOnFirstWrite(),
-        )
+        summary = worker_loop(graph_path, root, "w0", log=RequeueOnFirstWrite())
         assert requeued == [first]
         assert summary.jobs == 8 * g.n
         assert collect_results(layout).complete
@@ -170,9 +191,7 @@ class TestWorkerLoop:
             real_rename(src, dst)
 
         monkeypatch.setattr(os, "rename", counting_rename)
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
-        )
+        summary = worker_loop(graph_path, root, "w0")
         assert summary.jobs == 24
         assert len(from_pending) == 24
 
@@ -181,22 +200,19 @@ class TestWorkerLoop:
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
         layout = init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
-        real_run_job = worker.run_job
+        real_mc_dist = worker.mc_dist
         requeued = []
 
-        def requeue_own_job_once(g, t, *args, **kwargs):
+        def requeue_own_job_once(g, spec, *args, **kwargs):
             if not requeued:
                 old = time.time() - 120
-                os.utime(layout.running_dir / str(t), (old, old))
+                os.utime(layout.running_dir / str(spec.t), (old, old))
                 requeued.extend(requeue_stale(layout, 60))
-            return real_run_job(g, t, *args, **kwargs)
+            return real_mc_dist(g, spec, *args, **kwargs)
 
-        monkeypatch.setattr(worker, "run_job", requeue_own_job_once)
+        monkeypatch.setattr(worker, "mc_dist", requeue_own_job_once)
         log = io.StringIO()
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
-            log=log,
-        )
+        summary = worker_loop(graph_path, root, "w0", log=log)
         assert requeued == [claim_order(8 * g.n, 0)[0]]
         assert f"job={requeued[0]} dropped=requeued" in log.getvalue().splitlines()
         assert summary.jobs == 8 * g.n
@@ -209,25 +225,22 @@ class TestWorkerLoop:
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
         layout = init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
-        real_run_job = worker.run_job
+        real_mc_dist = worker.mc_dist
         runs = []  # (t, best the job started from, its clique, witnesses before it ran)
 
-        def requeue_own_job_once(g, t, c, *args, **kwargs):
+        def requeue_own_job_once(g, spec, *args, **kwargs):
             if not runs:
                 old = time.time() - 120
-                os.utime(layout.running_dir / str(t), (old, old))
-                assert requeue_stale(layout, 60) == [t]
+                os.utime(layout.running_dir / str(spec.t), (old, old))
+                assert requeue_stale(layout, 60) == [spec.t]
             logged, _ = read_best_log(layout)
-            record = real_run_job(g, t, c, *args, **kwargs)
-            runs.append((t, c, record.clique, logged))
-            return record
+            clique, ctx = real_mc_dist(g, spec, *args, **kwargs)
+            runs.append((spec.t, spec.c, [v + 1 for v in clique], logged))
+            return clique, ctx
 
-        monkeypatch.setattr(worker, "run_job", requeue_own_job_once)
+        monkeypatch.setattr(worker, "mc_dist", requeue_own_job_once)
         log = io.StringIO()
-        worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root),
-            log=log,
-        )
+        worker_loop(graph_path, root, "w0", log=log)
         dropped, c, clique, _ = runs[0]
         assert f"job={dropped} dropped=requeued" in log.getvalue().splitlines()
         assert len(clique) > c  # the dropped run beat best
@@ -244,9 +257,7 @@ class TestWorkerLoop:
             root, graph_path.name, n=9, f=8, fingerprint=complete_graph(9).fingerprint()
         )
         with pytest.raises(QueueError, match="n=9"):
-            worker_loop(
-                WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
-            )
+            worker_loop(graph_path, root, "w0")
 
     def test_other_graph_with_same_n_refused_before_any_claim(self, tmp_path):
         made_for = generate_gnp(30, 0.5, 1)
@@ -254,13 +265,7 @@ class TestWorkerLoop:
         root = tmp_path / "q"
         layout = init_queue(root, "a.clq", n=30, f=8, fingerprint=made_for.fingerprint())
         with pytest.raises(QueueError, match="another graph"):
-            worker_loop(
-                WorkerConfig(
-                    worker_id="w0",
-                    graph_path=write_graph(tmp_path, other),
-                    queue_root=root,
-                )
-            )
+            worker_loop(write_graph(tmp_path, other), root, "w0")
         assert os.listdir(layout.running_dir) == []
         assert len(pending_jobs(layout)) == 8 * 30
 
@@ -271,9 +276,7 @@ class TestWorkerLoop:
         layout = init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
         layout.meta_path.write_text(f"graph={graph_path.name}\nn={g.n}\nf=8\n")
         with pytest.raises(QueueError, match="fingerprint missing"):
-            worker_loop(
-                WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
-            )
+            worker_loop(graph_path, root, "w0")
         assert os.listdir(layout.running_dir) == []
 
     def test_two_sequential_workers_partition_jobs(self, tmp_path):
@@ -284,12 +287,8 @@ class TestWorkerLoop:
 
         # claim half the queue into a second "worker" by hand, then drain both
         layout = open_queue(root)
-        s1 = worker_loop(
-            WorkerConfig(worker_id="a", graph_path=graph_path, queue_root=root, rng_seed=1)
-        )
-        s2 = worker_loop(
-            WorkerConfig(worker_id="b", graph_path=graph_path, queue_root=root, rng_seed=2)
-        )
+        s1 = worker_loop(graph_path, root, "a", seed=1)
+        s2 = worker_loop(graph_path, root, "b", seed=2)
         assert s1.jobs == 8 * g.n
         assert s2.jobs == 0
         assert collect_results(layout).complete
@@ -300,8 +299,6 @@ class TestWorkerLoop:
         graph_path = write_graph(tmp_path, g)
         root = tmp_path / "q"
         init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
-        summary = worker_loop(
-            WorkerConfig(worker_id="w0", graph_path=graph_path, queue_root=root)
-        )
+        summary = worker_loop(graph_path, root, "w0")
         assert summary.jobs == 8 * g.n
         assert collect_results(open_queue(root)).best_omega == len(mc(g)[0])
