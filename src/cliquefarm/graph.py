@@ -151,7 +151,8 @@ def to_dimacs(g: Graph, comment: str | None = None) -> str:
 
 
 def load_dimacs(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
+    """A comment may hold any byte; any other non-ASCII byte fails to parse."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_dimacs(fh.read())
 
 

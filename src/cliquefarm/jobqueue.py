@@ -118,14 +118,14 @@ class JobResultRecord:
 
     omega == len(clique), always: 0 with an empty clique means the job found
     nothing better than its injected bound; otherwise the clique is an
-    ascending 1-based vertex list.
+    ascending 1-based vertex list. The job took finished_unix_ms -
+    started_unix_ms; from_text ignores an older record's wall_ms= line.
     """
 
     t: int
     omega: int
     clique: list[int]
     nodes: int
-    wall_ms: int
     worker: str
     started_unix_ms: int
     finished_unix_ms: int
@@ -146,7 +146,6 @@ class JobResultRecord:
             f"omega={self.omega}",
             "clique=" + " ".join(str(v) for v in self.clique),
             f"nodes={self.nodes}",
-            f"wall_ms={self.wall_ms}",
             f"worker={self.worker}",
             f"started_unix_ms={self.started_unix_ms}",
             f"finished_unix_ms={self.finished_unix_ms}",
@@ -163,7 +162,6 @@ class JobResultRecord:
                 omega=int(kv["omega"]),
                 clique=clique,
                 nodes=int(kv["nodes"]),
-                wall_ms=int(kv["wall_ms"]),
                 worker=kv["worker"],
                 started_unix_ms=int(kv["started_unix_ms"]),
                 finished_unix_ms=int(kv["finished_unix_ms"]),
@@ -253,13 +251,14 @@ def claim_job(layout: QueueLayout, jobs: Iterable[int]) -> int | None:
 
 def pending_jobs(layout: QueueLayout) -> set[int]:
     """The ids of the jobs now in pending/ that claim_job can take; a name no
-    claim would move (wrong shard, not canonical) is skipped, so no worker
-    waits on it."""
+    claim would move (wrong shard, not canonical, not below meta's f*n) is
+    skipped, so no worker waits on it."""
+    job_count = read_meta(layout).job_count
     return {
         t
         for shard in SHARDS
         for t in _job_ids(layout.shard_dir(shard))
-        if shard_of(t) == shard
+        if shard_of(t) == shard and t < job_count
     }
 
 

@@ -42,7 +42,8 @@ class RunReport:
 def build_report(
     records: list[JobResultRecord], baseline_wall_ms: int | None = None
 ) -> RunReport:
-    """Aggregate job records into the three report series.
+    """Aggregate job records into the three report series; a job's duration
+    is its finished_unix_ms - started_unix_ms, in whole ms.
 
     Rejects empty input, a baseline that is not positive, and overlapping
     jobs on a single worker (one worker is one single-threaded process, so
@@ -67,14 +68,14 @@ def build_report(
             busy_steps.append((ts, busy))
 
     by_worker: dict[str, WorkerRow] = {}
-    for r in records:
+    durations = [r.finished_unix_ms - r.started_unix_ms for r in records]
+    for r, duration in zip(records, durations):
         row = by_worker.setdefault(r.worker, WorkerRow(r.worker, 0, 0, 0))
         row.total_nodes += r.nodes
         row.longest_job_nodes = max(row.longest_job_nodes, r.nodes)
-        row.total_wall_ms += r.wall_ms
+        row.total_wall_ms += duration
     per_worker = sorted(by_worker.values(), key=lambda w: (w.total_wall_ms, w.worker))
 
-    durations = [r.wall_ms for r in records]
     tail_contour = [
         (thr, sum(1 for d in durations if d > thr))
         for thr in _log_grid(max(durations))
@@ -118,8 +119,6 @@ def _check_no_overlap(records: list[JobResultRecord]) -> None:
 def _log_grid(max_ms: int) -> list[float]:
     """Log-spaced thresholds from 1 ms to the longest job duration."""
     top = max(1, max_ms)
-    if top == 1:
-        return [1.0] * TAIL_GRID_POINTS
     step = math.log10(top) / (TAIL_GRID_POINTS - 1)
     return [10 ** (i * step) for i in range(TAIL_GRID_POINTS)]
 

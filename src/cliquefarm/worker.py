@@ -44,7 +44,8 @@ def worker_loop(
     job requeued while it ran and not yet re-run is dropped with a log
     line, not counted, and runs again from pending/. A record's start is
     clamped to the previous job's finish, so one worker's records stay
-    monotone despite wall-clock jitter.
+    monotone despite wall-clock jitter; a job's time is its finish minus its
+    start, in whole ms, so a worker's total never exceeds its span.
     """
     if not (worker_id and worker_id.isascii() and worker_id.isprintable()):
         raise QueueError(f"worker id {worker_id!r} must be non-empty printable ASCII")
@@ -70,16 +71,13 @@ def worker_loop(
             spec = JobSpec(t=t, n=g.n, f=meta.f, c=c)
             refresher = _periodic_refresher(layout, REREAD_BEST_SECONDS)
             started = max(int(time.time() * 1000), finished)
-            t0 = time.monotonic()
             clique, ctx = mc_dist(g, spec, order, refresher=refresher, root=root)
-            wall_ms = max(1, int((time.monotonic() - t0) * 1000))
             finished = max(started, int(time.time() * 1000))
             record = JobResultRecord(
                 t=t,
                 omega=len(clique),
                 clique=[v + 1 for v in clique],
                 nodes=ctx.nodes,
-                wall_ms=wall_ms,
                 worker=worker_id,
                 started_unix_ms=started,
                 finished_unix_ms=finished,
@@ -93,10 +91,10 @@ def worker_loop(
                 continue
             summary.jobs += 1
             summary.nodes += record.nodes
-            summary.wall_ms += record.wall_ms
+            summary.wall_ms += finished - started
             print(
                 f"job={t} omega={record.omega} nodes={record.nodes} "
-                f"wall_ms={record.wall_ms} best_in={c}",
+                f"wall_ms={finished - started} best_in={c}",
                 file=log,
                 flush=True,
             )

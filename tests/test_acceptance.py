@@ -364,7 +364,7 @@ class TestCriterion9ReportCorrectness:
 
         def rec(t, worker, start, end, nodes):
             return JobResultRecord(
-                t=t, omega=0, clique=[], nodes=nodes, wall_ms=end - start,
+                t=t, omega=0, clique=[], nodes=nodes,
                 worker=worker, started_unix_ms=start, finished_unix_ms=end,
             )
 

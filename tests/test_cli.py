@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cliquefarm
 from cliquefarm.cli import main
 from cliquefarm.graph import load_dimacs, to_dimacs
 from cliquefarm.jobqueue import open_queue, pending_jobs
@@ -42,6 +45,13 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", path)
         assert code == 1
         assert "error:" in err
+
+    def test_non_ascii_edge_line_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.clq"
+        path.write_bytes(b"p edge 3 2\ne 1 2\ne 2 3\xe9\n")
+        code, _, err = run_cli(capsys, "solve", path)
+        assert code == 1
+        assert err.startswith("error: line 3:")
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "solve", tmp_path / "nope.clq")
@@ -162,6 +172,23 @@ class TestQueueCommands:
         assert "speedup=" in out
         for name in ("busy.csv", "workers.csv", "tail.csv", "summary.csv"):
             assert (tmp_path / "rep" / name).is_file()
+
+    def test_work_ignores_a_job_file_beyond_f_times_n(self, tmp_path, capsys):
+        g = write_graph(tmp_path, complete_graph(3))
+        q = tmp_path / "q"
+        run_cli(capsys, "init", "--graph", g, "--queue", q, "--split-factor", 1)
+        stray = q / "pending" / "05" / "105"
+        stray.touch()
+        src = os.path.dirname(os.path.dirname(cliquefarm.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "cliquefarm", "work",
+             "--graph", str(g), "--queue", str(q), "--id", "w0"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "jobs=3" in out.stdout
+        assert stray.is_file()
 
     @pytest.mark.parametrize(
         "worker_id", ["", "wörker", "a\nomega=9"], ids=["empty", "non-ascii", "newline"]

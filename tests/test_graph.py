@@ -10,6 +10,7 @@ from cliquefarm.graph import (
     degree_sort,
     generate_gnp,
     is_clique,
+    load_dimacs,
     parse_dimacs,
     to_dimacs,
 )
@@ -58,6 +59,17 @@ class TestParseDimacs:
     def test_unknown_line_type(self):
         with pytest.raises(DimacsParseError, match="unrecognised"):
             parse_dimacs("p edge 2 1\nq 1 2")
+
+    def test_comment_may_hold_any_byte(self, tmp_path):
+        path = tmp_path / "g.clq"
+        path.write_bytes("c café\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n".encode("utf-8"))
+        assert load_dimacs(path) == complete_graph(3)
+
+    def test_non_ascii_byte_on_an_edge_line_names_its_line(self, tmp_path):
+        path = tmp_path / "g.clq"
+        path.write_bytes(b"p edge 3 2\ne 1 2\ne 2 3\xe9\n")
+        with pytest.raises(DimacsParseError, match="line 3: bad edge endpoints"):
+            load_dimacs(path)
 
     def test_edge_count_advisory(self):
         # m on the p line is not validated

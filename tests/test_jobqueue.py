@@ -39,7 +39,6 @@ def make_record(t=0, omega=3, clique=(1, 2, 5), **overrides):
         omega=omega,
         clique=list(clique),
         nodes=10,
-        wall_ms=4,
         worker="w0",
         started_unix_ms=1000,
         finished_unix_ms=1004,
@@ -191,8 +190,9 @@ def test_pending_jobs_are_what_a_claim_can_take(tmp_path):
     layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
     assert claim_job(layout, [3]) == 3
     assert claim_job(layout, [7]) == 7
-    # no claim moves these: not a job id, wrong shard, not canonical
-    for stray in ("00/.nfs0003", "04/3", "03/03", "07/07", "03/\u0663"):
+    # no claim moves these: not a job id, wrong shard, not canonical, not
+    # below f*n = 8
+    for stray in ("00/.nfs0003", "04/3", "03/03", "07/07", "03/\u0663", "08/8"):
         (layout.pending_dir / stray).touch()
     assert pending_jobs(layout) == {0, 1, 2, 4, 5, 6}
 
@@ -429,25 +429,36 @@ class TestPublish:
         t=st.integers(0, 10**6),
         clique=st.lists(st.integers(1, 10**4), unique=True).map(sorted),
         nodes=st.integers(1, 2**62),
-        wall_ms=st.integers(0, 10**9),
         worker=st.text(
             alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1
         ).filter(lambda s: "=" not in s),
         started=st.integers(0, 2**52),
         duration=st.integers(0, 10**9),
     )
-    def test_record_round_trip(self, t, clique, nodes, wall_ms, worker, started, duration):
+    def test_record_round_trip(self, t, clique, nodes, worker, started, duration):
         record = JobResultRecord(
             t=t,
             omega=len(clique),
             clique=clique,
             nodes=nodes,
-            wall_ms=wall_ms,
             worker=worker,
             started_unix_ms=started,
             finished_unix_ms=started + duration,
         )
         assert JobResultRecord.from_text(record.to_text()) == record
+
+    def test_older_record_with_wall_ms_still_parses(self, tmp_path):
+        # records once carried a wall_ms= line beside their two timestamps
+        text = (
+            "t=5\nomega=3\nclique=1 2 5\nnodes=10\nwall_ms=7\nworker=w0\n"
+            "started_unix_ms=1000\nfinished_unix_ms=1004\n"
+        )
+        assert JobResultRecord.from_text(text) == make_record(t=5)
+        layout = init_queue(tmp_path / "q", "toy", n=1, f=8, fingerprint="toy")
+        (layout.results_dir / "5").write_text(text, encoding="ascii")
+        summary = collect_results(layout)
+        assert summary.records == [make_record(t=5)]
+        assert summary.errors == []
 
     def test_record_rejects_inconsistent_omega(self):
         with pytest.raises(QueueError, match="omega"):

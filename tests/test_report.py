@@ -18,7 +18,6 @@ def record(t, worker, start, end, nodes=1):
         omega=0,
         clique=[],
         nodes=nodes,
-        wall_ms=end - start,
         worker=worker,
         started_unix_ms=start,
         finished_unix_ms=end,
@@ -57,6 +56,11 @@ class TestBuildReport:
         records = [record(8, "w0", 516, 517), record(23, "w0", 516, 516)]
         report = build_report(records)
         assert report.makespan_ms == 1
+
+    def test_tail_of_jobs_within_a_millisecond(self):
+        records = [record(0, "A", 0, 0), record(1, "A", 0, 1), record(2, "B", 3, 4)]
+        report = build_report(records)
+        assert report.tail_contour == [(1.0, 0)] * TAIL_GRID_POINTS
 
     def test_hand_computed_trace(self, four_job_trace):
         report = build_report(four_job_trace, baseline_wall_ms=400)

@@ -21,6 +21,7 @@ from cliquefarm.jobqueue import (
     requeue_stale,
     update_best,
 )
+from cliquefarm.report import build_report
 from cliquefarm.worker import worker_loop
 
 from conftest import complete_graph
@@ -60,9 +61,22 @@ class TestRunJob:
         records = drain_k5(tmp_path, k5)
         assert sorted(records) == list(range(40))
         for record in records.values():
-            assert record.wall_ms > 0
             assert record.nodes >= 1
             assert record.finished_unix_ms >= record.started_unix_ms
+
+    def test_sub_millisecond_jobs_sum_within_the_makespan(self, tmp_path):
+        # G(300,0.1,0) jobs take well under 1 ms: a job counts its two
+        # timestamps' difference, so one worker's total cannot exceed its span
+        g = generate_gnp(300, 0.1, 0)
+        graph_path = write_graph(tmp_path, g)
+        root = tmp_path / "q"
+        init_queue(root, graph_path.name, n=g.n, f=8, fingerprint=g.fingerprint())
+        summary = worker_loop(graph_path, root, "w0", log=io.StringIO())
+        assert summary.jobs == 8 * g.n
+        report = build_report(collect_results(open_queue(root)).records)
+        assert [w.worker for w in report.per_worker] == ["w0"]
+        assert summary.wall_ms == report.per_worker[0].total_wall_ms
+        assert report.per_worker[0].total_wall_ms <= report.makespan_ms
 
 
 class TestWorkerConfig:
