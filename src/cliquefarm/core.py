@@ -1,13 +1,20 @@
 """Sequential exact maximum clique search with a greedy colour bound.
 
-The search grows a clique C from an ordered candidate set P. Each node
-colour-sorts P greedily, then branches on vertices in non-increasing colour
-order; a branch is cut when colour(v) + |C| cannot beat the incumbent.
+The search grows a clique C from a candidate set P. Each node colour-sorts
+P greedily, then branches on vertices in non-increasing colour order; a
+branch is cut when colour(v) + |C| cannot beat the incumbent.
+
+The kernel is bit-parallel, after BBMC (San Segundo, Rodriguez-Losada &
+Jimenez, Computers & OR 38(2), 2011). The vertices are renumbered once, in
+degree_sort order, so that new id i is order[i]; P is then one int mask
+whose ascending bits are in degree order, and a child's candidates are
+P & adj[v]. Witnesses are mapped back to the caller's ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .graph import Graph, degree_sort
@@ -22,53 +29,63 @@ class SearchContext:
     nodes: int = 0
 
 
-def colour_sort(p: list[int], g: Graph) -> tuple[list[int], list[int]]:
-    """Greedy sequential colouring of P in its given order: (stack, colours).
+def renumber(g: Graph, order: list[int]) -> list[int]:
+    """g's adjacency masks with vertex order[i] renamed i.
 
-    Colour k is the greedy independent set, in P's order, of the vertices
-    that colours 1..k-1 left, pushed onto the stack as it is taken; so
-    popping from the end yields non-increasing colours. colours[i] is the
+    Each row is written as an n-digit binary string, most significant digit
+    (vertex n-1) first, and its digits are picked in the new order.
+    """
+    n = g.n
+    pick = itemgetter(*[n - 1 - v for v in reversed(order)])
+    digits = f"0{n}b"
+    return [int("".join(pick(format(g.adj[v], digits))), 2) for v in order]
+
+
+def colour_sort(p: int, adj: list[int]) -> tuple[list[int], list[int]]:
+    """Greedy sequential colouring of the mask P in ascending bit order:
+    (stack, colours).
+
+    Colour k is the greedy independent set, lowest bit first, of the
+    vertices that colours 1..k-1 left, pushed onto the stack as it is taken;
+    so popping from the end yields non-increasing colours. colours[i] is the
     colour of stack[i], from 1 up to the number used.
     """
-    adj = g.adj
     stack: list[int] = []
     colours: list[int] = []
+    push = stack.append
     k = 0
     while p:
         k += 1
-        taken = 0
-        rest = []
-        for v in p:
-            if adj[v] & taken:
-                rest.append(v)
-            else:
-                taken |= 1 << v
-                stack.append(v)
-                colours.append(k)
-        p = rest
+        q = p
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            push(v)
+            p ^= low
+            q &= ~(adj[v] | low)
+        colours += [k] * (len(stack) - len(colours))
     return stack, colours
 
 
 def expand(
     c: list[int],
-    p: list[int],
+    p: int,
     ctx: SearchContext,
-    g: Graph,
+    adj: list[int],
     keep: Callable[[int, SearchContext], bool] | None = None,
 ) -> None:
-    """Explore cliques extending C with subsets of P; updates ctx in place.
+    """Explore cliques extending C with subsets of the mask P; updates ctx
+    in place.
 
-    P must be ordered (degree order at the root, inherited below) and every
-    vertex of P adjacent to all of C. `keep(label, ctx)`, when given, says
-    whether to descend into the branch with that pop label (len(P) - 1 down
-    to 0) at this node only; it may raise ctx.best_size.
+    adj is renumbered (see renumber) and every vertex of P adjacent to all
+    of C. `keep(label, ctx)`, when given, says whether to descend into the
+    branch with that pop label (|P| - 1 down to 0) at this node only; it
+    may raise ctx.best_size.
     """
     ctx.nodes += 1
-    stack, colours = colour_sort(p, g)
-    adj = g.adj
+    stack, colours = colour_sort(p, adj)
     c_size = len(c)
     best = ctx.best_size
-    popped = 0
     for i in range(len(stack) - 1, -1, -1):
         v = stack[i]
         if colours[i] + c_size <= best:
@@ -79,29 +96,29 @@ def expand(
             if colours[i] + c_size <= best:
                 return
             if not kept:
-                popped |= 1 << v
+                p ^= 1 << v
                 continue
         c.append(v)
-        av = adj[v]
-        p2 = [w for w in p if av >> w & 1 and not popped >> w & 1]
+        p2 = p & adj[v]
         if not p2:
             if c_size + 1 > best:
                 ctx.best_clique = c.copy()
                 ctx.best_size = best = c_size + 1
         else:
-            expand(c, p2, ctx, g)
+            expand(c, p2, ctx, adj)
             best = ctx.best_size
         c.pop()
-        popped |= 1 << v
+        p ^= 1 << v
 
 
 def mc(g: Graph) -> tuple[list[int], SearchContext]:
     """Find a maximum clique of g; returns (clique, stats).
 
     Deterministic: the same graph always yields the same clique and the same
-    node count.
+    node count. The clique and ctx.best_clique are in g's vertex ids.
     """
     ctx = SearchContext()
     order = degree_sort(g)
-    expand([], order, ctx, g)
+    expand([], (1 << g.n) - 1, ctx, renumber(g, order))
+    ctx.best_clique = [order[v] for v in ctx.best_clique]
     return sorted(ctx.best_clique), ctx

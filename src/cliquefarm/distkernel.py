@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import SearchContext, colour_sort, expand
+from .core import SearchContext, colour_sort, expand, renumber
 from .graph import Graph
 
 DEFAULT_SPLIT_FACTOR = 8
@@ -59,29 +59,31 @@ def job_membership(spec: JobSpec, first: int, second: int) -> bool:
 
 @dataclass(frozen=True)
 class Root:
-    """The root node of the search, coloured as core.expand colours it.
+    """The root node of the search, coloured as core.mc colours it.
 
-    stack and colours are colour_sort(order, g); label[v] is the position
-    of vertex v in stack (its depth-1 branch label) and rank[v] its
-    position in order.
+    adj is g renumbered by order (core.renumber), and stack and colours
+    are colour_sort of all of it, in those ids; stack[i] is the vertex of
+    depth-1 branch label i. below[i] is the mask of stack[:i], the vertices
+    still unpopped at the root when branch i is taken.
     """
 
+    adj: list[int]
     stack: list[int]
     colours: list[int]
-    label: list[int]
-    rank: list[int]
+    below: list[int]
 
 
 def colour_root(g: Graph, order: list[int]) -> Root:
-    """Colour the root once; every job on g with this order can share it."""
-    stack, colours = colour_sort(order, g)
-    label = [0] * g.n
-    for i, v in enumerate(stack):
-        label[v] = i
-    rank = [0] * g.n
-    for i, v in enumerate(order):
-        rank[v] = i
-    return Root(stack, colours, label, rank)
+    """Renumber and colour the root once; every job on g with this order
+    can share it."""
+    adj = renumber(g, order)
+    stack, colours = colour_sort((1 << g.n) - 1, adj)
+    below = []
+    mask = 0
+    for v in stack:
+        below.append(mask)
+        mask |= 1 << v
+    return Root(adj, stack, colours, below)
 
 
 def mc_dist(
@@ -95,13 +97,14 @@ def mc_dist(
 
     `order` must be degree_sort(g), the sequential search's ordering, so
     that branch labels agree across all jobs; workers compute it once per
-    graph. `root` is colour_root(g, order), shared by every job on g;
-    workers build it once next to `order`, and it is built here when not
-    given. If the colour of the job's depth-1 branch beats spec.c, the
-    search descends into that branch alone and core.expand filters its
-    depth-2 branches through job_membership. `refresher`, when given, runs
-    before each depth-2 branch of that depth-1 node and may raise
-    ctx.best_size (periodic re-read of a shared incumbent).
+    graph; the job searches in the ids it renumbers to, and its clique is
+    mapped back through it. `root` is colour_root(g, order), shared by
+    every job on g; workers build it once next to `order`, and it is built
+    here when not given. If the colour of the job's depth-1 branch beats
+    spec.c, the search descends into that branch alone and core.expand
+    filters its depth-2 branches through job_membership. `refresher`, when
+    given, runs before each depth-2 branch of that depth-1 node and may
+    raise ctx.best_size (periodic re-read of a shared incumbent).
     """
     if spec.n != g.n:
         raise ValueError(f"job is for n={spec.n} but graph has n={g.n}")
@@ -120,19 +123,10 @@ def mc_dist(
         return job_membership(spec, first, label)
 
     v = root.stack[first]
-    # v's neighbours still unpopped at the root (label below first), as in order
-    label = root.label
-    p1 = []
-    av = g.adj[v]
-    while av:
-        low = av & -av
-        w = low.bit_length() - 1
-        if label[w] < first:
-            p1.append(w)
-        av ^= low
-    p1.sort(key=root.rank.__getitem__)
+    p1 = root.adj[v] & root.below[first]
     if p1:
-        expand([v], p1, ctx, g, keep)
+        expand([v], p1, ctx, root.adj, keep)
     elif spec.c == 0:
         ctx.best_clique, ctx.best_size = [v], 1
+    ctx.best_clique = [order[u] for u in ctx.best_clique]
     return sorted(ctx.best_clique), ctx

@@ -1,11 +1,14 @@
 import dataclasses
+import zlib
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquefarm import distkernel
-from cliquefarm.core import mc
+from cliquefarm.core import colour_sort, mc, renumber
 from cliquefarm.distkernel import JobSpec, colour_root, job_membership, mc_dist
 from cliquefarm.graph import degree_sort, generate_gnp, is_clique
 
@@ -183,6 +186,19 @@ class TestMcDist:
         )
         assert total == nodes
 
+    def test_golden_per_job_results(self):
+        # every job of G(60,0.9,3), f=8, c=0 on one shared root: the CRC-32 of
+        # repr([(t, nodes, clique), ...]) pins each job's count and witness
+        g = generate_gnp(60, 0.9, 3)
+        order = degree_sort(g)
+        root = colour_root(g, order)
+        runs = []
+        for spec in all_jobs(g.n, 8, 0):
+            clique, ctx = mc_dist(g, spec, order, root=root)
+            runs.append((spec.t, ctx.nodes, clique))
+        assert sum(nodes for _, nodes, _ in runs) == 7525
+        assert zlib.crc32(repr(runs).encode()) == 921880917
+
 
 class TestSharedRoot:
     def test_root_indexes_stack_and_order(self):
@@ -190,8 +206,10 @@ class TestSharedRoot:
         order = degree_sort(g)
         root = colour_root(g, order)
         assert sorted(root.stack) == list(range(g.n))
-        assert [root.label[v] for v in root.stack] == list(range(g.n))
-        assert [root.rank[v] for v in order] == list(range(g.n))
+        assert root.adj == renumber(g, order)
+        assert (root.stack, root.colours) == colour_sort((1 << g.n) - 1, root.adj)
+        for i in range(g.n):
+            assert root.below[i] == reduce(or_, (1 << root.stack[j] for j in range(i)), 0)
 
     def test_root_is_frozen(self, k5):
         root = colour_root(k5, degree_sort(k5))

@@ -94,3 +94,45 @@ def test_drained_queue_keeps_pending_shard_dirs(tmp_path):
         pass
     names = sorted(os.listdir(layout.pending_dir))
     assert names == [f"{i:02d}" for i in range(100)]
+
+
+def counting_colour_sort(monkeypatch):
+    """Replace cliquefarm.core.colour_sort on its module, as launch.py does,
+    by a wrapper that counts its calls; returns the one-element counter."""
+    from cliquefarm import core
+
+    calls = [0]
+    inner = core.colour_sort
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(core, "colour_sort", counted)
+    return calls
+
+
+def test_mc_colours_once_per_node_through_the_module(monkeypatch):
+    # the core.colour_sort_* metrics count these calls: a kernel that
+    # colours without calling the module's colour_sort would read 0 there
+    from cliquefarm.core import mc
+    from cliquefarm.graph import generate_gnp
+
+    g = generate_gnp(60, 0.9, 3)
+    calls = counting_colour_sort(monkeypatch)
+    _, ctx = mc(g)
+    assert calls[0] == ctx.nodes
+
+
+def test_mc_dist_colours_once_per_node_below_a_shared_root(monkeypatch):
+    from cliquefarm.distkernel import JobSpec, colour_root, mc_dist
+    from cliquefarm.graph import degree_sort, generate_gnp
+
+    g = generate_gnp(60, 0.9, 3)
+    order = degree_sort(g)
+    root = colour_root(g, order)
+    calls = counting_colour_sort(monkeypatch)
+    for t in range(8 * g.n):
+        calls[0] = 0
+        _, ctx = mc_dist(g, JobSpec(t=t, n=g.n, f=8), order, root=root)
+        assert calls[0] == ctx.nodes - 1, t  # the shared root is not coloured again
